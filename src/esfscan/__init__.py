@@ -28,6 +28,7 @@ from .symfun import (
     omit_first_column_advance,
     omit_first_column_start,
     omit_oracle,
+    omit_sweep,
     omit_value,
     omit_values,
 )

@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .primes import PrimeTable
 from .rational import Rational, make_rational, p_adic_valuation
-from .symfun import EsfRow, esf_rows, k_cap
+from .symfun import EsfRow, esf_rows, k_cap, omit_sweep
 
 
 def certificate_threshold(k: int) -> int:
@@ -207,11 +207,8 @@ def check_valuations(pairs: Sequence[Tuple[int, int]], table: PrimeTable) -> Lis
                     if i == n:
                         val = prev.value(k)
                     else:
-                        acc = row.harmonic - make_rational(1, i)
                         r_i = make_rational(1, i)
-                        for j in range(2, k + 1):
-                            acc = row.value(j) - acc * r_i
-                        val = acc
+                        val = omit_sweep(row.harmonic - r_i, r_i, row, k)[-1]
                     if p_adic_valuation(val, cert.p) != -k:
                         failures.append(i)
                 results.append(

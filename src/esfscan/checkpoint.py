@@ -1,20 +1,21 @@
 """Versioned, line-oriented scan checkpoints.
 
-A checkpoint captures the complete resumable state at a fully completed
-n: the full-set row at n, the k = 1 omit-one column at n, and every
-integer hit found so far.  The format is UTF-8 text so checkpoints are
-human-auditable and diff-able:
+A checkpoint records how far a scan got: the scan's ``n_start``, the
+last fully completed n, and every integer hit found so far.  Nothing else
+is needed to resume.  The scan carries no state from one n to the next
+except the full-set row, and each worker rebuilds that from n = 1 at
+about the cost of testing a single n.  The format is UTF-8 text so
+checkpoints are human-auditable and diff-able:
 
-    ESF-CKPT v1 n=<n> K=<stored row width>
-    T <k> <num>/<den>        one line per row entry, k = 1..K
-    S1 <i> <num>/<den>       one line per column entry, i = 1..n
-    HIT <n> <i> <k> <num>/<den>
+    ESF-CKPT v2 n_start=<a> n=<n> hits=<h>
+    HIT <n> <i> <k> <num>/<den>      h lines, sorted by (n, i, k)
 
 Files are written to a temporary name and atomically renamed, so a
 half-written checkpoint can never replace a good one.  Loading validates
-the version, line counts, canonical form of every rational (a value like
-"6/4" is refused), and positivity of the row values; corruption fails
-loudly instead of silently restarting the scan.
+the version (v1 files, which also carried the row and the k = 1 column,
+are refused), the hit count against the header, and each hit's range,
+canonical form (a value like "2/2" is refused) and integrality;
+corruption fails loudly instead of silently restarting the scan.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .rational import format_rational, parse_rational
-from .symfun import EsfRow, OmitFirstColumn
 
-FORMAT_VERSION = 1
-_HEADER_RE = re.compile(r"^ESF-CKPT v(\d+) n=(\d+) K=(\d+)$")
+FORMAT_VERSION = 2
+_VERSION_RE = re.compile(r"^ESF-CKPT v(\d+)\b")
+_HEADER_RE = re.compile(r"^ESF-CKPT v2 n_start=(\d+) n=(\d+) hits=(\d+)$")
+_HIT_RE = re.compile(r"^HIT (\d+) (\d+) (\d+) (\S+)$")
 
 
 class CheckpointError(RuntimeError):
@@ -48,23 +50,15 @@ class IntegerHit:
 
 @dataclass(frozen=True)
 class CheckpointRecord:
+    n_start: int  # first n the scan tests
     n: int  # last fully completed n
-    t_row: EsfRow
-    s_col: OmitFirstColumn
     hits: Tuple[IntegerHit, ...]
-    format_version: int = FORMAT_VERSION
 
 
 def save_checkpoint(path: str, record: CheckpointRecord) -> None:
-    row_vals = record.t_row.values
-    if record.t_row.n != record.n or record.s_col.n != record.n:
-        raise CheckpointError("checkpoint state not aligned to a single n")
-    lines = [f"ESF-CKPT v{record.format_version} n={record.n} K={len(row_vals)}"]
-    lines.extend(f"T {k} {format_rational(v)}" for k, v in enumerate(row_vals, 1))
-    lines.extend(f"S1 {i} {format_rational(v)}" for i, v in enumerate(record.s_col.values, 1))
-    lines.extend(
-        f"HIT {h.n} {h.i} {h.k} {h.value}" for h in sorted(record.hits, key=IntegerHit.sort_key)
-    )
+    hits = sorted(record.hits, key=IntegerHit.sort_key)
+    lines = [f"ESF-CKPT v{FORMAT_VERSION} n_start={record.n_start} n={record.n} hits={len(hits)}"]
+    lines.extend(f"HIT {h.n} {h.i} {h.k} {h.value}" for h in hits)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -82,65 +76,41 @@ def load_checkpoint(path: str) -> CheckpointRecord:
     lines = raw.splitlines()
     if not lines:
         raise CheckpointError(f"checkpoint {path} is empty")
+    m = _VERSION_RE.match(lines[0])
+    if m and int(m.group(1)) != FORMAT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path}: format version {m.group(1)} unsupported"
+            f" (expected {FORMAT_VERSION})"
+        )
     m = _HEADER_RE.match(lines[0])
     if not m:
         raise CheckpointError(f"checkpoint {path}: bad header {lines[0]!r}")
-    version, n, width = int(m.group(1)), int(m.group(2)), int(m.group(3))
-    if version != FORMAT_VERSION:
+    n_start, n, count = int(m.group(1)), int(m.group(2)), int(m.group(3))
+    if n_start < 2 or n < 2:
+        raise CheckpointError(f"checkpoint {path}: implausible header n_start={n_start} n={n}")
+
+    body = [line for line in lines[1:] if line.strip()]
+    if len(body) != count:
+        state = "truncated" if len(body) < count else "overlong"
         raise CheckpointError(
-            f"checkpoint {path}: format version {version} unsupported (expected {FORMAT_VERSION})"
+            f"checkpoint {path}: {state} ({len(body)} HIT lines, header says hits={count})"
         )
-    if n < 1 or width < 1 or width > n:
-        raise CheckpointError(f"checkpoint {path}: implausible header n={n} K={width}")
-
-    body = lines[1:]
-    expected = width + n
-    if len(body) < expected:
-        raise CheckpointError(
-            f"checkpoint {path}: truncated ({len(body)} body lines, need >= {expected})"
-        )
-
-    def parse_value(text: str, where: str):
-        try:
-            return parse_rational(text, strict=True)
-        except ValueError as exc:
-            raise CheckpointError(f"checkpoint {path}: {where}: {exc}") from exc
-
-    row_vals = []
-    for idx in range(width):
-        parts = body[idx].split()
-        if len(parts) != 3 or parts[0] != "T" or parts[1] != str(idx + 1):
-            raise CheckpointError(f"checkpoint {path}: expected 'T {idx + 1} ...', got {body[idx]!r}")
-        v = parse_value(parts[2], f"T {idx + 1}")
-        if v <= 0:
-            raise CheckpointError(f"checkpoint {path}: T {idx + 1} not positive")
-        row_vals.append(v)
-
-    col_vals = []
-    for idx in range(n):
-        line = body[width + idx]
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "S1" or parts[1] != str(idx + 1):
-            raise CheckpointError(f"checkpoint {path}: expected 'S1 {idx + 1} ...', got {line!r}")
-        col_vals.append(parse_value(parts[2], f"S1 {idx + 1}"))
-
     hits: List[IntegerHit] = []
-    for line in body[expected:]:
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 5 or parts[0] != "HIT":
+    for line in body:
+        m = _HIT_RE.match(line)
+        if not m:
             raise CheckpointError(f"checkpoint {path}: unexpected line {line!r}")
-        hn, hi, hk = int(parts[1]), int(parts[2]), int(parts[3])
-        value = parse_value(parts[4], f"HIT {hn} {hi} {hk}")
-        if not (2 <= hn <= n and 1 <= hi <= hn and 1 <= hk < hn):
+        hn, hi, hk = int(m.group(1)), int(m.group(2)), int(m.group(3))
+        try:
+            value = parse_rational(m.group(4), strict=True)
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint {path}: HIT {hn} {hi} {hk}: {exc}") from exc
+        if value.denominator != 1:
+            raise CheckpointError(f"checkpoint {path}: HIT {hn} {hi} {hk}: value not an integer")
+        if not (n_start <= hn <= n and 1 <= hi <= hn and 1 <= hk < hn):
             raise CheckpointError(f"checkpoint {path}: implausible hit {line!r}")
         hits.append(IntegerHit(n=hn, i=hi, k=hk, value=format_rational(value)))
 
     return CheckpointRecord(
-        n=n,
-        t_row=EsfRow(n=n, cap=width, values=tuple(row_vals)),
-        s_col=OmitFirstColumn(n=n, values=tuple(col_vals)),
-        hits=tuple(sorted(hits, key=IntegerHit.sort_key)),
-        format_version=version,
+        n_start=n_start, n=n, hits=tuple(sorted(hits, key=IntegerHit.sort_key))
     )

@@ -1,20 +1,24 @@
 """Exhaustive exact-arithmetic integrality scan with checkpoint/resume.
 
-The scan walks n upward, maintaining the rolling full-set row and the
-k = 1 omit-one column, and tests every omit-one value at
-1 <= i <= n, 1 <= k <= min(n-1, k_cap(n)) for integrality.  Values below
-``n_start`` are advanced (the recursion state needs the full history)
-but not tested.
+The scan walks n upward with the rolling full-set row and tests every
+omit-one value at 1 <= i <= n, 1 <= k <= min(n-1, k_cap(n)) for
+integrality.  The row is the only state carried from one n to the next:
+the k = 1 seed omit(n, i, 1) = H_n - 1/i comes from the row's first
+entry, i = n is read off the previous row, and the k-recursion is
+``symfun.omit_sweep``.  Rows below ``n_start`` are advanced but not
+tested.
 
-Parallelism is over the omitted index i: each worker owns a contiguous
-i-strip and the matching slice of the column state for the whole run,
-and advances its own copy of the (cheap) full-set row, so after startup
-no per-n coordination is needed at all.  Workers stream integer hits,
-per-checkpoint state slices, and final counts to the coordinator over a
-queue; per-worker message order makes checkpoint assembly race-free.
-The hit report is merged in (n, i, k) order, so its bytes are a pure
-function of the configured range, independent of worker count, of
-checkpoint cadence, and of interrupt/resume history.
+Parallelism is over the omitted index i: worker w of J owns the
+interleaved indices i = w+1, w+1+J, w+1+2J, ... at every n (so i = n
+falls to worker (n-1) mod J), which spreads low and high indices evenly,
+and advances its own copy of the (cheap) row, so no per-n coordination
+is needed at all.  Workers stream integer hits, the checkpoint n they
+complete, and final counts to the coordinator over a queue; per-worker
+message order makes checkpointing race-free.  A checkpoint holds only
+the last completed n and the hits so far, and a resume is a fresh start
+at the next n.  The hit report is merged in (n, i, k) order, so its
+bytes are a pure function of the configured range, independent of worker
+count, of checkpoint cadence, and of interrupt/resume history.
 
 There is deliberately no modular-arithmetic pre-filter: residues modulo
 a word-size prime cannot witness that a rational is not an integer, so
@@ -23,7 +27,6 @@ every test is performed on the exact reduced value.
 
 from __future__ import annotations
 
-import bisect
 import json
 import multiprocessing
 import os
@@ -39,8 +42,8 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .rational import format_rational, make_rational, parse_rational
-from .symfun import EsfRow, OmitFirstColumn, k_cap, omit_oracle
+from .rational import format_rational, make_rational
+from .symfun import EsfRow, esf_row_advance, esf_row_start, k_cap, omit_oracle, omit_sweep
 
 REPORT_HEADER = "n,i,k,numerator,denominator"
 SUMMARY_SUFFIX = ".summary.json"
@@ -83,8 +86,6 @@ class ScanConfig:
 @dataclass(frozen=True)
 class WorkerStat:
     worker: int
-    i_lo: int
-    i_hi: int
     triples_checked: int
     busy_seconds: float
 
@@ -119,192 +120,79 @@ def _identity_sampled(n: int, i: int, k: int) -> bool:
     return (n * 1000003 + i * 733 + k) % 1000 == 0
 
 
-class _StripEngine:
-    """Runs the recursion for the omitted indices in [i_lo, i_hi].
-
-    Owns the column slice for its strip and a private copy of the rolling
-    row (recomputing the row per worker is far cheaper than shipping it).
-    """
-
-    def __init__(
-        self,
-        i_lo: int,
-        i_hi: int,
-        n_start: int,
-        row_cap: int,
-        oracle_max: int,
-        include_rows: bool,
-        on_hit: Callable[[int, int, int, str], None],
-        on_snapshot: Callable[[int, Optional[List[str]], List[Tuple[int, str]]], None],
-    ):
-        self.i_lo = i_lo
-        self.i_hi = i_hi
-        self.n_start = n_start
-        self.row_cap = row_cap
-        self.oracle_max = oracle_max
-        self.include_rows = include_rows
-        self.on_hit = on_hit
-        self.on_snapshot = on_snapshot
-        self.n = 1
-        self.t1 = [None, make_rational(1)]
-        size = max(0, i_hi - i_lo + 1)
-        self.s1 = [None] * size
-        self.recip = [make_rational(1, i) for i in range(i_lo, i_hi + 1)]
-        if i_lo <= 1 <= i_hi:
-            self.s1[1 - i_lo] = make_rational(0)
-        self.checked = 0
-        self.busy_seconds = 0.0
-
-    def seed_from(self, n: int, row_values: Sequence, col_pairs: Sequence[Tuple[int, object]]):
-        """Restore state at a fully completed n (from a checkpoint)."""
-        needed = min(n, self.row_cap)
-        if len(row_values) < needed:
-            raise ScanError(
-                f"checkpoint row has {len(row_values)} entries, scan needs {needed};"
-                " it was saved for a shorter n_end"
-            )
-        self.n = n
-        self.t1 = [None] + list(row_values[:needed])
-        for i, v in col_pairs:
-            if self.i_lo <= i <= self.i_hi:
-                self.s1[i - self.i_lo] = v
-
-    def run(self, stop_n: int, snapshot_ns: frozenset) -> None:
-        started = time.perf_counter()
-        for n in range(self.n + 1, stop_n + 1):
-            self._step(n)
-            if n in snapshot_ns:
-                self._snapshot(n)
-        self.busy_seconds = time.perf_counter() - started
-
-    def _step(self, n: int) -> None:
-        t1 = self.t1
-        rn = make_rational(1, n)
-        width = min(n, self.row_cap)
-        t2 = [None] * (width + 1)
-        t2[1] = t1[1] + rn
-        for k in range(2, width + 1):
-            t2[k] = t1[k - 1] * rn + (t1[k] if k < len(t1) else 0)
-        checking = n >= self.n_start
-        if checking and t2[1].denominator == 1:
-            raise ScanError(f"self-check failed: harmonic value integral at n={n}")
-        mk = min(n - 1, k_cap(n))
-        crosscheck = checking and n <= self.oracle_max
-        s1 = self.s1
-        hi = min(self.i_hi, n - 1)
-        for i in range(self.i_lo, hi + 1):
-            idx = i - self.i_lo
-            acc = s1[idx] + rn
-            s1[idx] = acc
-            if not checking:
-                continue
-            self.checked += 1
-            if acc.denominator == 1:
-                self.on_hit(n, i, 1, format_rational(acc))
-            if crosscheck and acc != omit_oracle(n, i, 1):
-                raise ScanError(f"recursion disagrees with enumeration at ({n},{i},1)")
-            ri = self.recip[idx]
-            for k in range(2, mk + 1):
-                prev = acc
-                acc = t2[k] - acc * ri
-                self.checked += 1
-                if acc.denominator == 1:
-                    self.on_hit(n, i, k, format_rational(acc))
-                if _identity_sampled(n, i, k) and t2[k] != acc + prev * ri:
-                    raise ScanError(f"identity self-check failed at ({n},{i},{k})")
-                if crosscheck and acc != omit_oracle(n, i, k):
-                    raise ScanError(f"recursion disagrees with enumeration at ({n},{i},{k})")
-        if self.i_lo <= n <= self.i_hi:
-            if checking:
-                for k in range(1, mk + 1):
-                    v = t1[k]
-                    self.checked += 1
-                    if v.denominator == 1:
-                        self.on_hit(n, n, k, format_rational(v))
-                    if (
-                        k >= 2
-                        and _identity_sampled(n, n, k)
-                        and t2[k] != v + t1[k - 1] * rn
-                    ):
-                        raise ScanError(f"identity self-check failed at ({n},{n},{k})")
-                    if crosscheck and v != omit_oracle(n, n, k):
-                        raise ScanError(f"recursion disagrees with enumeration at ({n},{n},{k})")
-            s1[n - self.i_lo] = t1[1]
-        self.t1 = t2
-        self.n = n
-
-    def _snapshot(self, n: int) -> None:
-        rows = [format_rational(v) for v in self.t1[1:]] if self.include_rows else None
-        hi = min(self.i_hi, n)
-        pairs = [
-            (i, format_rational(self.s1[i - self.i_lo])) for i in range(self.i_lo, hi + 1)
-        ]
-        self.on_snapshot(n, rows, pairs)
-
-
-def _partition_strips(n_start: int, n_end: int, jobs: int) -> List[Tuple[int, int]]:
-    """Contiguous i-strips with roughly equal work.
-
-    Index i is active (and tested) for every n >= max(i, n_start), so low
-    indices carry more work than high ones; weights reflect that.
-    """
-    jobs = max(1, min(jobs, n_end))
-    cum = [0]
-    for i in range(1, n_end + 1):
-        cum.append(cum[-1] + (n_end - max(i, n_start) + 1) + 4)
-    total = cum[-1]
-    strips: List[Tuple[int, int]] = []
-    lo = 1
-    for s in range(1, jobs + 1):
-        if s == jobs:
-            hi = n_end
-        else:
-            hi = bisect.bisect_left(cum, total * s / jobs)
-            hi = max(lo, min(hi, n_end - (jobs - s)))
-        strips.append((lo, hi))
-        lo = hi + 1
-    return strips
-
-
 @dataclass
-class _WorkerTask:
-    worker_id: int
-    i_lo: int
-    i_hi: int
-    n_start: int
+class _Engine:
+    """Tests the interleaved omitted indices i = worker+1, worker+1+jobs, ...
+
+    At every n the owned indices include i = n exactly when
+    (n - 1) mod jobs == worker.  The engine advances its own copy of the
+    rolling row from n = 1 (recomputing the row per worker is far cheaper
+    than shipping it) and tests every n in [test_from, stop_n].
+    """
+
+    worker: int
+    jobs: int
+    test_from: int
+    stop_n: int
     row_cap: int
     oracle_max: int
-    stop_n: int
-    snapshot_ns: Tuple[int, ...]
-    resume_n: Optional[int] = None
-    resume_row: Optional[Tuple[str, ...]] = None
-    resume_pairs: Optional[Tuple[Tuple[int, str], ...]] = None
+    checkpoint_ns: frozenset
+    checked: int = 0
+    busy_seconds: float = 0.0
+
+    def run(
+        self,
+        on_hit: Callable[[int, int, int, str], None],
+        on_checkpoint: Callable[[int], None],
+    ) -> None:
+        started = time.perf_counter()
+        prev = esf_row_start(self.row_cap)
+        for n in range(2, self.stop_n + 1):
+            row = esf_row_advance(prev)
+            if n >= self.test_from:
+                self._test(n, row, prev, on_hit)
+            if n in self.checkpoint_ns:
+                on_checkpoint(n)
+            prev = row
+        self.busy_seconds = time.perf_counter() - started
+
+    def _test(self, n: int, row: EsfRow, prev: EsfRow, on_hit) -> None:
+        harmonic = row.harmonic
+        if harmonic.denominator == 1:
+            raise ScanError(f"self-check failed: harmonic value integral at n={n}")
+        mk = min(n - 1, k_cap(n))
+        crosscheck = n <= self.oracle_max
+        full = row.values
+        for i in range(self.worker + 1, n + 1, self.jobs):
+            r_i = make_rational(1, i)
+            if i < n:
+                values = omit_sweep(harmonic - r_i, r_i, row, mk)
+            else:
+                values = prev.values[:mk]
+            for k, v in enumerate(values, 1):
+                if v.denominator == 1:
+                    on_hit(n, i, k, format_rational(v))
+                if (
+                    k >= 2
+                    and _identity_sampled(n, i, k)
+                    and full[k - 1] != v + values[k - 2] * r_i
+                ):
+                    raise ScanError(f"identity self-check failed at ({n},{i},{k})")
+                if crosscheck and v != omit_oracle(n, i, k):
+                    raise ScanError(f"recursion disagrees with enumeration at ({n},{i},{k})")
+            self.checked += mk
 
 
-def _worker_main(task: _WorkerTask, queue) -> None:
+def _worker_main(engine: _Engine, queue) -> None:
+    wid = engine.worker
     try:
-        engine = _StripEngine(
-            i_lo=task.i_lo,
-            i_hi=task.i_hi,
-            n_start=task.n_start,
-            row_cap=task.row_cap,
-            oracle_max=task.oracle_max,
-            include_rows=(task.worker_id == 0),
-            on_hit=lambda n, i, k, s: queue.put(("hit", task.worker_id, n, i, k, s)),
-            on_snapshot=lambda n, rows, pairs: queue.put(
-                ("ckpt", task.worker_id, n, rows, pairs)
-            ),
+        engine.run(
+            on_hit=lambda n, i, k, s: queue.put(("hit", wid, n, i, k, s)),
+            on_checkpoint=lambda n: queue.put(("ckpt", wid, n)),
         )
-        if task.resume_n is not None:
-            engine.seed_from(
-                task.resume_n,
-                [parse_rational(s, strict=True) for s in task.resume_row],
-                [(i, parse_rational(s, strict=True)) for i, s in task.resume_pairs],
-            )
-        engine.run(task.stop_n, frozenset(task.snapshot_ns))
-        queue.put(("done", task.worker_id, engine.checked, engine.busy_seconds))
+        queue.put(("done", wid, engine.checked, engine.busy_seconds))
     except BaseException:
-        queue.put(("error", task.worker_id, traceback.format_exc()))
+        queue.put(("error", wid, traceback.format_exc()))
 
 
 def _write_report(path: str, hits: Sequence[IntegerHit]) -> None:
@@ -318,13 +206,15 @@ def _write_report(path: str, hits: Sequence[IntegerHit]) -> None:
 
 
 class _Coordinator:
-    """Collects worker messages: hits, checkpoint slices, final counts."""
+    """Collects worker messages: hits, completed checkpoint n, final counts."""
 
-    def __init__(self, config: ScanConfig, strips, hits: Dict[Tuple[int, int, int], IntegerHit]):
+    def __init__(
+        self, config: ScanConfig, jobs: int, base_n: int,
+        hits: Dict[Tuple[int, int, int], IntegerHit],
+    ):
         self.config = config
-        self.strips = strips
         self.hits = hits
-        self.pending: Dict[int, Dict[int, Tuple[Optional[List[str]], List[Tuple[int, str]]]]] = {}
+        self.reached = [base_n] * jobs  # last checkpoint n each worker completed
         self.stats: Dict[int, WorkerStat] = {}
 
     def sorted_hits(self) -> List[IntegerHit]:
@@ -336,42 +226,20 @@ class _Coordinator:
         # it before any more work is acknowledged.
         _write_report(self.config.report_path, self.sorted_hits())
 
-    def on_snapshot(self, worker_id: int, n: int, rows, pairs) -> None:
-        slot = self.pending.setdefault(n, {})
-        slot[worker_id] = (rows, pairs)
-        if len(slot) == len(self.strips):
-            self._save_checkpoint(n)
-            del self.pending[n]
+    def on_checkpoint(self, worker_id: int, n: int) -> None:
+        # Workers report the same checkpoint n in the same order, and each
+        # sends its hits before its mark, so once the slowest worker has
+        # completed n every hit at or below n is here.
+        self.reached[worker_id] = n
+        if min(self.reached) == n:
+            hits = tuple(h for h in self.sorted_hits() if h.n <= n)
+            record = CheckpointRecord(n_start=self.config.n_start, n=n, hits=hits)
+            save_checkpoint(self.config.checkpoint_path, record)
 
     def on_done(self, worker_id: int, checked: int, busy: float) -> None:
-        i_lo, i_hi = self.strips[worker_id]
         self.stats[worker_id] = WorkerStat(
-            worker=worker_id, i_lo=i_lo, i_hi=i_hi, triples_checked=checked, busy_seconds=busy
+            worker=worker_id, triples_checked=checked, busy_seconds=busy
         )
-
-    def _save_checkpoint(self, n: int) -> None:
-        slot = self.pending[n]
-        rows = None
-        col: Dict[int, str] = {}
-        for wid, (r, pairs) in slot.items():
-            if r is not None:
-                rows = r
-            col.update(dict(pairs))
-        if rows is None or len(col) != n:
-            raise ScanError(f"incomplete checkpoint state assembled at n={n}")
-        record = CheckpointRecord(
-            n=n,
-            t_row=EsfRow(
-                n=n,
-                cap=len(rows),
-                values=tuple(parse_rational(s, strict=True) for s in rows),
-            ),
-            s_col=OmitFirstColumn(
-                n=n, values=tuple(parse_rational(col[i], strict=True) for i in range(1, n + 1))
-            ),
-            hits=tuple(h for h in self.sorted_hits() if h.n <= n),
-        )
-        save_checkpoint(self.config.checkpoint_path, record)
 
 
 def scan(config: ScanConfig) -> ScanReport:
@@ -380,76 +248,58 @@ def scan(config: ScanConfig) -> ScanReport:
     started = time.perf_counter()
 
     lineage: List[Tuple[str, int]] = []
-    resume_rec: Optional[CheckpointRecord] = None
-    if config.resume:
-        resume_rec = load_checkpoint(config.checkpoint_path)
-        lineage.append((config.checkpoint_path, resume_rec.n))
-
-    row_cap = k_cap(config.n_end)
-    base_n = resume_rec.n if resume_rec else 1
+    base_n = 1
     stop_n = min(config.stop_after_n or config.n_end, config.n_end)
-
     hits: Dict[Tuple[int, int, int], IntegerHit] = {}
-    if resume_rec:
-        if len(resume_rec.t_row.values) < min(base_n, row_cap):
+    if config.resume:
+        record = load_checkpoint(config.checkpoint_path)
+        if record.n_start != config.n_start:
             raise ScanError(
-                f"checkpoint at n={base_n} stores only {len(resume_rec.t_row.values)} row"
-                f" entries but a scan to n_end={config.n_end} needs {min(base_n, row_cap)}"
+                f"checkpoint {config.checkpoint_path} belongs to a scan from"
+                f" n_start={record.n_start}, not n_start={config.n_start}"
             )
-        for h in resume_rec.hits:
-            if config.n_start <= h.n <= stop_n:
+        lineage.append((config.checkpoint_path, record.n))
+        base_n = record.n
+        for h in record.hits:
+            if h.n <= stop_n:
                 hits[(h.n, h.i, h.k)] = h
 
-    strips = _partition_strips(config.n_start, config.n_end, config.jobs)
-    coord = _Coordinator(config, strips, hits)
+    jobs = min(config.jobs, config.n_end)
+    coord = _Coordinator(config, jobs, base_n, hits)
     try:
         _write_report(config.report_path, coord.sorted_hits())
     except OSError as exc:
         raise ScanError(f"report path {config.report_path!r} is not writable: {exc}") from exc
 
-    snapshot_ns: Tuple[int, ...] = ()
+    checkpoint_ns = frozenset()
     if config.checkpoint_path and stop_n > base_n:
-        cadence = [
-            n
-            for n in range(base_n + 1, stop_n + 1)
-            if n % config.checkpoint_every == 0
-        ]
-        if stop_n not in cadence:
-            cadence.append(stop_n)
-        snapshot_ns = tuple(sorted(cadence))
+        checkpoint_ns = frozenset(
+            n for n in range(base_n + 1, stop_n + 1) if n % config.checkpoint_every == 0
+        ) | {stop_n}
 
-    def strip_task(wid: int) -> _WorkerTask:
-        i_lo, i_hi = strips[wid]
-        task = _WorkerTask(
-            worker_id=wid,
-            i_lo=i_lo,
-            i_hi=i_hi,
-            n_start=config.n_start,
-            row_cap=row_cap,
-            oracle_max=config.oracle_crosscheck_max,
-            stop_n=stop_n,
-            snapshot_ns=snapshot_ns,
-        )
-        if resume_rec:
-            task.resume_n = base_n
-            task.resume_row = tuple(
-                format_rational(v) for v in resume_rec.t_row.values[: min(base_n, row_cap)]
-            )
-            task.resume_pairs = tuple(
-                (i, format_rational(resume_rec.s_col.values[i - 1]))
-                for i in range(max(1, i_lo), min(i_hi, base_n) + 1)
-            )
-        return task
-
+    # A resume is a fresh start after the checkpointed n.
+    test_from = max(config.n_start, base_n + 1)
     if stop_n > base_n:
-        if len(strips) == 1:
-            _run_inline(strip_task(0), coord)
+        row_cap = k_cap(config.n_end)
+        engines = [
+            _Engine(
+                worker=w,
+                jobs=jobs,
+                test_from=test_from,
+                stop_n=stop_n,
+                row_cap=row_cap,
+                oracle_max=config.oracle_crosscheck_max,
+                checkpoint_ns=checkpoint_ns,
+            )
+            for w in range(jobs)
+        ]
+        if jobs == 1:
+            _run_inline(engines[0], coord)
         else:
-            _run_workers([strip_task(w) for w in range(len(strips))], coord)
+            _run_workers(engines, coord)
 
-    exec_lo = max(config.n_start, base_n + 1)
     actual = sum(s.triples_checked for s in coord.stats.values())
-    expected_exec = closed_form_triple_count(exec_lo, stop_n)
+    expected_exec = closed_form_triple_count(test_from, stop_n)
     if actual != expected_exec:
         raise ScanError(
             f"triple count mismatch: checked {actual}, closed form says {expected_exec}"
@@ -477,34 +327,21 @@ def scan(config: ScanConfig) -> ScanReport:
     return report
 
 
-def _run_inline(task: _WorkerTask, coord: _Coordinator) -> None:
-    engine = _StripEngine(
-        i_lo=task.i_lo,
-        i_hi=task.i_hi,
-        n_start=task.n_start,
-        row_cap=task.row_cap,
-        oracle_max=task.oracle_max,
-        include_rows=True,
+def _run_inline(engine: _Engine, coord: _Coordinator) -> None:
+    engine.run(
         on_hit=lambda n, i, k, s: coord.on_hit(0, n, i, k, s),
-        on_snapshot=lambda n, rows, pairs: coord.on_snapshot(0, n, rows, pairs),
+        on_checkpoint=lambda n: coord.on_checkpoint(0, n),
     )
-    if task.resume_n is not None:
-        engine.seed_from(
-            task.resume_n,
-            [parse_rational(s, strict=True) for s in task.resume_row],
-            [(i, parse_rational(s, strict=True)) for i, s in task.resume_pairs],
-        )
-    engine.run(task.stop_n, frozenset(task.snapshot_ns))
     coord.on_done(0, engine.checked, engine.busy_seconds)
 
 
-def _run_workers(tasks: List[_WorkerTask], coord: _Coordinator) -> None:
+def _run_workers(engines: List[_Engine], coord: _Coordinator) -> None:
     ctx = multiprocessing.get_context()
     queue = ctx.Queue(maxsize=256)
-    procs = [ctx.Process(target=_worker_main, args=(t, queue), daemon=True) for t in tasks]
+    procs = [ctx.Process(target=_worker_main, args=(e, queue), daemon=True) for e in engines]
     for p in procs:
         p.start()
-    remaining = len(tasks)
+    remaining = len(engines)
     try:
         while remaining:
             try:
@@ -519,8 +356,8 @@ def _run_workers(tasks: List[_WorkerTask], coord: _Coordinator) -> None:
                 _, wid, n, i, k, value = msg
                 coord.on_hit(wid, n, i, k, value)
             elif kind == "ckpt":
-                _, wid, n, rows, pairs = msg
-                coord.on_snapshot(wid, n, rows, pairs)
+                _, wid, n = msg
+                coord.on_checkpoint(wid, n)
             elif kind == "done":
                 _, wid, checked, busy = msg
                 coord.on_done(wid, checked, busy)
@@ -540,7 +377,7 @@ def _run_workers(tasks: List[_WorkerTask], coord: _Coordinator) -> None:
 
 def _write_summary(report: ScanReport) -> None:
     payload = {
-        "format": "esfscan-report v1",
+        "format": "esfscan-report v2",
         "n_start": report.n_start,
         "n_end": report.n_end,
         "n_completed": report.n_completed,
@@ -552,8 +389,6 @@ def _write_summary(report: ScanReport) -> None:
         "workers": [
             {
                 "worker": s.worker,
-                "i_lo": s.i_lo,
-                "i_hi": s.i_hi,
                 "triples_checked": s.triples_checked,
                 "busy_seconds": s.busy_seconds,
             }

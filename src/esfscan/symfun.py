@@ -10,15 +10,17 @@ Two families of values are computed here:
 The production path is the pair of recursions
 
     esf(n, k)     = esf(n-1, k) + (1/n) * esf(n-1, k-1)
-    omit(n, i, 1) = omit(n-1, i, 1) + 1/n          (i < n)
-    omit(n, n, k) = esf(n-1, k)
     omit(n, i, k) = esf(n, k) - (1/i) * omit(n, i, k-1)
 
-driven by a rolling row of full-set values and the k = 1 column of
-omit-one values.  Independent oracles (polynomial expansion for the full
-set, direct subset enumeration for omit-one) and the closed forms for
-n = k+1 and n = k+2 are provided for cross-checking; they share no code
-with the recursion path.
+driven by a rolling row of full-set values and seeded at k = 1 by
+omit(n, i, 1) = harmonic(n) - 1/i, the row's first entry minus 1/i; the
+k-recursion lives in :func:`omit_sweep` alone.  At i = n the shortcut
+omit(n, n, k) = esf(n-1, k) reads the previous row instead.  The k = 1
+column recursion omit(n, i, 1) = omit(n-1, i, 1) + 1/n is kept as an
+independent check of that seed.  Independent oracles (polynomial
+expansion for the full set, direct subset enumeration for omit-one) and
+the closed forms for n = k+1 and n = k+2 are provided for
+cross-checking; they share no code with the recursion path.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from mpmath import iv, mpf
 
@@ -151,6 +153,24 @@ def omit_first_column_advance(prev: OmitFirstColumn, prev_row: EsfRow) -> OmitFi
     return OmitFirstColumn(n=n, values=tuple(vals))
 
 
+def omit_sweep(seed: Rational, r_i: Rational, row: EsfRow, k_max: int) -> List[Rational]:
+    """[omit(n, i, 1), ..., omit(n, i, k_max)] at n = row.n.
+
+    ``seed`` is omit(n, i, 1) and ``r_i`` is 1/i; every further value is
+    omit(n, i, k) = esf(n, k) - (1/i) * omit(n, i, k-1).  This is the one
+    copy of the k-recursion: the scan, the valuation check and the
+    value helpers below all call it.
+    """
+    if not 1 <= k_max <= len(row.values):
+        raise ValueError(f"k_max={k_max} outside stored row for n={row.n}")
+    acc = seed
+    values = [acc]
+    for e_k in row.values[1:k_max]:
+        acc = e_k - acc * r_i
+        values.append(acc)
+    return values
+
+
 def omit_value(
     n: int,
     i: int,
@@ -175,11 +195,7 @@ def omit_value(
         if prev_row is None or prev_row.n != n - 1:
             raise ValueError("i = n requires the row for n-1")
         return prev_row.value(k)
-    acc = col.value(i)
-    r_i = make_rational(1, i)
-    for j in range(2, k + 1):
-        acc = row.value(j) - acc * r_i
-    return acc
+    return omit_sweep(col.value(i), make_rational(1, i), row, k)[-1]
 
 
 def omit_values(
@@ -190,7 +206,7 @@ def omit_values(
     col: OmitFirstColumn,
     prev_row: Optional[EsfRow] = None,
 ) -> Iterator[Tuple[int, Rational]]:
-    """Yield (k, omit(n, i, k)) for k = 1..k_max, reusing one accumulator."""
+    """Yield (k, omit(n, i, k)) for k = 1..k_max from one sweep."""
     if not 1 <= k_max < n:
         raise ValueError(f"k_max={k_max} out of range for n={n}")
     if i == n:
@@ -199,12 +215,7 @@ def omit_values(
         for k in range(1, k_max + 1):
             yield k, prev_row.value(k)
         return
-    acc = col.value(i)
-    yield 1, acc
-    r_i = make_rational(1, i)
-    for k in range(2, k_max + 1):
-        acc = row.value(k) - acc * r_i
-        yield k, acc
+    yield from enumerate(omit_sweep(col.value(i), make_rational(1, i), row, k_max), 1)
 
 
 def esf_oracle(n: int, k: int, bound: int = ORACLE_BOUND_DEFAULT) -> Rational:
@@ -299,9 +310,5 @@ def compute_omit(n: int, i: int, k: int) -> Rational:
             prev = row
     if i == n:
         return prev.value(k)
-    # The column entry at (n, i) equals harmonic(n) - 1/i exactly.
-    acc = row.harmonic - make_rational(1, i)
     r_i = make_rational(1, i)
-    for j in range(2, k + 1):
-        acc = row.value(j) - acc * r_i
-    return acc
+    return omit_sweep(row.harmonic - r_i, r_i, row, k)[-1]

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from mpmath import iv, mpf
+from mpmath import iv, mp, mpf
 
 from .primes import PrimeTable
 
@@ -67,7 +67,10 @@ def theta(x: float, table: PrimeTable, prec_bits: Optional[int] = None) -> Theta
             if p > x:
                 break
             acc += iv.log(iv.mpf(p))
-        mid = (mpf(acc.a) + mpf(acc.b)) / 2
+        # At the global mpmath precision (53 bits by default) the midpoint
+        # would be rounded far beyond the error bound claimed below.
+        with mp.workprec(iv.prec):
+            mid = (mpf(acc.a) + mpf(acc.b)) / 2
         width = float(mpf(acc.delta.b))
     finally:
         iv.prec = saved

@@ -202,6 +202,6 @@ def test_criterion_10_interrupt_resume_determinism(tmp_path):
 def test_criterion_11_scan_cutoff_reference_value():
     started = time.perf_counter()
     assert k_cap(13542) == 28
-    mp.dps = 50
-    assert int(mp.floor(mp.e * mp.log(13542) + mp.e)) == 28
+    with mp.workdps(50):
+        assert int(mp.floor(mp.e * mp.log(13542) + mp.e)) == 28
     _report(11, time.perf_counter() - started, "k cap at 13542 is 28")

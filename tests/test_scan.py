@@ -15,7 +15,7 @@ from esfscan.scan import (
     closed_form_triple_count,
     scan,
 )
-from esfscan.symfun import esf_rows, k_cap, omit_first_column_advance, omit_first_column_start
+from esfscan.symfun import k_cap
 
 
 def run_scan(tmp_path, name, **kwargs):
@@ -67,6 +67,7 @@ class TestScan:
     def test_summary_sidecar(self, tmp_path):
         report, _ = run_scan(tmp_path, "r", n_start=2, n_end=30, jobs=2)
         summary = json.loads((tmp_path / "r.csv.summary.json").read_text())
+        assert summary["format"] == "esfscan-report v2"
         assert summary["n_start"] == 2 and summary["n_end"] == 30
         assert summary["triples_checked"] == report.triples_checked
         assert summary["integer_hits"] == [
@@ -93,78 +94,63 @@ class TestScan:
             ScanConfig(n_start=2, n_end=4, oracle_crosscheck_max=25).validate()
 
 
-def make_checkpoint_state(n, cap):
-    row = None
-    col = omit_first_column_start()
-    for r in esf_rows(n, cap=cap):
-        if r.n > 1:
-            col = omit_first_column_advance(col, row)
-        row = r
-    return row, col
+KNOWN = (IntegerHit(2, 2, 1, "1/1"), IntegerHit(4, 4, 2, "1/1"))
 
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        row, col = make_checkpoint_state(20, cap=k_cap(20))
-        record = CheckpointRecord(
-            n=20,
-            t_row=row,
-            s_col=col,
-            hits=(IntegerHit(2, 2, 1, "1/1"), IntegerHit(4, 4, 2, "1/1")),
-        )
+        record = CheckpointRecord(n_start=2, n=20, hits=KNOWN)
         path = str(tmp_path / "state.ckpt")
         save_checkpoint(path, record)
-        loaded = load_checkpoint(path)
-        assert loaded.n == 20
-        assert loaded.t_row.values == row.values
-        assert loaded.s_col.values == col.values
-        assert loaded.hits == record.hits
+        assert load_checkpoint(path) == record
 
     def test_header_shape(self, tmp_path):
-        row, col = make_checkpoint_state(20, cap=k_cap(20))
         path = str(tmp_path / "state.ckpt")
-        save_checkpoint(path, CheckpointRecord(n=20, t_row=row, s_col=col, hits=()))
-        first = (tmp_path / "state.ckpt").read_text().splitlines()[0]
-        assert first == f"ESF-CKPT v1 n=20 K={len(row.values)}"
+        save_checkpoint(path, CheckpointRecord(n_start=2, n=20, hits=KNOWN))
+        assert (tmp_path / "state.ckpt").read_text().splitlines() == [
+            "ESF-CKPT v2 n_start=2 n=20 hits=2",
+            "HIT 2 2 1 1/1",
+            "HIT 4 4 2 1/1",
+        ]
 
     def _write_variant(self, tmp_path, mutate):
-        row, col = make_checkpoint_state(12, cap=k_cap(12))
         path = tmp_path / "state.ckpt"
-        save_checkpoint(str(path), CheckpointRecord(n=12, t_row=row, s_col=col, hits=()))
+        save_checkpoint(str(path), CheckpointRecord(n_start=2, n=12, hits=KNOWN))
         lines = path.read_text().splitlines()
         path.write_text("\n".join(mutate(lines)) + "\n")
         return str(path)
 
     def test_version_mismatch_refused(self, tmp_path):
+        # A v1 file also carried the row (T lines) and the k = 1 column (S1 lines).
         path = self._write_variant(
-            tmp_path, lambda ls: [ls[0].replace("ESF-CKPT v1", "ESF-CKPT v2")] + ls[1:]
+            tmp_path, lambda ls: ["ESF-CKPT v1 n=12 K=8", "T 1 86021/27720"] + ls[1:]
         )
-        with pytest.raises(CheckpointError, match="version"):
+        with pytest.raises(CheckpointError, match="version 1"):
             load_checkpoint(path)
 
     def test_unreduced_value_refused(self, tmp_path):
         def mutate(lines):
-            lines[1] = "T 1 6/4"
+            lines[2] = "HIT 4 4 2 2/2"
             return lines
 
         with pytest.raises(CheckpointError, match="not reduced"):
             load_checkpoint(self._write_variant(tmp_path, mutate))
 
-    def test_nonpositive_row_value_refused(self, tmp_path):
+    def test_non_integer_hit_refused(self, tmp_path):
         def mutate(lines):
-            lines[1] = "T 1 -3/2"
+            lines[2] = "HIT 4 4 2 1/2"
             return lines
 
-        with pytest.raises(CheckpointError, match="not positive"):
+        with pytest.raises(CheckpointError, match="not an integer"):
             load_checkpoint(self._write_variant(tmp_path, mutate))
 
     def test_truncation_refused(self, tmp_path):
         with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(self._write_variant(tmp_path, lambda ls: ls[:5]))
+            load_checkpoint(self._write_variant(tmp_path, lambda ls: ls[:2]))
 
     def test_garbage_line_refused(self, tmp_path):
         def mutate(lines):
-            lines[3] = "what is this"
+            lines[1] = "what is this"
             return lines
 
         with pytest.raises(CheckpointError):
@@ -215,22 +201,36 @@ class TestResume:
         )
         assert resumed == expected
 
-    def test_resume_with_larger_n_end_refused_when_row_too_narrow(self, tmp_path):
-        # A checkpoint saved by a scan to 60 carries min(60, k_cap(60))
-        # row entries; continuing to 500 needs k_cap(500) of them.
-        ckpt = str(tmp_path / "narrow.ckpt")
-        run_scan(
-            tmp_path, "n", n_start=2, n_end=60,
-            checkpoint_path=ckpt, checkpoint_every=100,
+    def test_resume_with_larger_n_end(self, tmp_path):
+        # The first run ends at 60, so it never built the rows k_cap(120)
+        # wide that the continuation needs; the resume rebuilds them.
+        _, expected = run_scan(tmp_path, "full", n_start=2, n_end=120)
+        ckpt = str(tmp_path / "short.ckpt")
+        run_scan(tmp_path, "s", n_start=2, n_end=60, checkpoint_path=ckpt)
+        assert k_cap(60) < k_cap(120)
+        report, resumed = run_scan(
+            tmp_path, "s", n_start=2, n_end=120, checkpoint_path=ckpt, resume=True
         )
-        assert k_cap(60) < k_cap(500)
-        with pytest.raises(ScanError, match="row"):
+        assert resumed == expected
+        assert report.checkpoint_lineage == ((ckpt, 60),)
+        assert sum(s.triples_checked for s in report.worker_stats) == (
+            closed_form_triple_count(61, 120)
+        )
+
+    def test_resume_with_other_n_start_refused(self, tmp_path):
+        # Resuming [10, 30] as if it were [2, 30] would claim n < 10 as
+        # tested and lose the hits (2,2,1) and (4,4,2).
+        ckpt = str(tmp_path / "from10.ckpt")
+        run_scan(
+            tmp_path, "a", n_start=10, n_end=30, checkpoint_path=ckpt, stop_after_n=20
+        )
+        with pytest.raises(ScanError, match="n_start=10.*n_start=2"):
             scan(
                 ScanConfig(
                     n_start=2,
-                    n_end=500,
+                    n_end=30,
                     checkpoint_path=ckpt,
-                    report_path=str(tmp_path / "n2.csv"),
+                    report_path=str(tmp_path / "b.csv"),
                     resume=True,
                 )
             )
@@ -310,7 +310,7 @@ class TestCli:
 
     def test_resume_from_corrupt_checkpoint_fails_cleanly(self, run_cli, tmp_path):
         ckpt = tmp_path / "bad.ckpt"
-        ckpt.write_text("ESF-CKPT v1 n=10 K=5\nT 1 6/4\n")
+        ckpt.write_text("ESF-CKPT v2 n_start=2 n=10 hits=1\nHIT 4 4 2 6/4\n")
         code, _ = run_cli(
             [
                 "scan", "--n-start", "2", "--n-end", "20",
@@ -318,4 +318,12 @@ class TestCli:
                 "--out", str(tmp_path / "out.csv"),
             ]
         )
+        assert code == 1
+
+    def test_resume_with_other_n_start_exits_1(self, run_cli, tmp_path):
+        ckpt = str(tmp_path / "from10.ckpt")
+        common = ["--n-end", "30", "--checkpoint", ckpt, "--out", str(tmp_path / "o.csv")]
+        code, _ = run_cli(["scan", "--n-start", "10", "--stop-after-n", "20", *common])
+        assert code == 0
+        code, _ = run_cli(["scan", "--n-start", "2", "--resume", *common])
         assert code == 1

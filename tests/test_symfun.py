@@ -17,6 +17,7 @@ from esfscan.symfun import (
     omit_first_column_advance,
     omit_first_column_start,
     omit_oracle,
+    omit_sweep,
     omit_value,
     omit_values,
 )
@@ -78,10 +79,10 @@ class TestKCap:
         assert k_cap(9) == 8
 
     def test_matches_high_precision_floor(self):
-        mp.dps = 60
-        for n in (2, 5, 9, 57, 500, 2000, 13542, 50216):
-            bound = mp.e * mp.log(n) + mp.e
-            assert k_cap(n) == min(n - 1, int(mp.floor(bound)))
+        with mp.workdps(60):
+            for n in (2, 5, 9, 57, 500, 2000, 13542, 50216):
+                bound = mp.e * mp.log(n) + mp.e
+                assert k_cap(n) == min(n - 1, int(mp.floor(bound)))
 
     def test_nondecreasing(self):
         caps = [k_cap(n) for n in range(2, 400)]
@@ -128,9 +129,10 @@ class TestRowRecursion:
 
 class TestOmitRecursion:
     def test_column_matches_harmonic_difference(self):
-        for row, col, _prev in rows_and_columns(30, cap=1):
+        # The scan seeds k = 1 from H_n - 1/i instead of carrying this column.
+        for row, col, _prev in rows_and_columns(200, cap=1):
             for i in range(1, row.n + 1):
-                assert col.value(i) == row.harmonic - make_rational(1, i)
+                assert col.value(i) == row.harmonic - make_rational(1, i), (row.n, i)
 
     def test_golden_values(self, golden_omit):
         for (n, i, k), expected in golden_omit.items():
@@ -164,13 +166,17 @@ class TestOmitRecursion:
 
     def test_matches_oracle_exhaustively(self):
         # Every omitted index and every subset size, n up to the
-        # enumeration bound used by the scan's online crosscheck.
+        # enumeration bound used by the scan's online crosscheck; the
+        # kernel is also fed the column seed directly, i = n included.
         checked = 0
         for row, col, prev in rows_and_columns(12, cap=11):
             n = row.n
             for i in range(1, n + 1):
+                expected = [omit_oracle(n, i, k) for k in range(1, n)]
+                swept = omit_sweep(col.value(i), make_rational(1, i), row, n - 1)
+                assert swept == expected, (n, i)
                 for k, value in omit_values(n, i, n - 1, row, col, prev_row=prev):
-                    assert value == omit_oracle(n, i, k), (n, i, k)
+                    assert value == expected[k - 1], (n, i, k)
                     checked += 1
         assert checked == sum(n * (n - 1) for n in range(2, 13))
 
@@ -235,11 +241,11 @@ class TestIdentities:
     def test_bound_above_cutoff(self):
         # Above the scan cutoff the full-set values drop below 1, which
         # is what makes larger subset sizes uninteresting to scan.
-        mp.dps = 40
-        for row in esf_rows(40, cap=40):
-            n = row.n
-            if n < 9:
-                continue
-            k_min = int(mp.ceil(mp.e * mp.log(n) + mp.e))
-            for k in range(k_min, n):
-                assert row.value(k) < 1, (n, k)
+        with mp.workdps(40):
+            for row in esf_rows(40, cap=40):
+                n = row.n
+                if n < 9:
+                    continue
+                k_min = int(mp.ceil(mp.e * mp.log(n) + mp.e))
+                for k in range(k_min, n):
+                    assert row.value(k) < 1, (n, k)

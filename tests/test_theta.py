@@ -19,17 +19,17 @@ class TestTheta:
 
     def test_four_term_sum(self, table_5000):
         result = theta(10, table_5000)
-        mp.dps = 40
-        expected = mp.log(2 * 3 * 5 * 7)
-        assert abs(result.value - expected) <= result.error_bound + mp.mpf(10) ** -25
+        with mp.workdps(40):
+            expected = mp.log(2 * 3 * 5 * 7)
+            assert abs(result.value - expected) <= result.error_bound + mp.mpf(10) ** -25
         assert result.error_bound < 1e-25
 
     def test_jump_at_prime(self, table_5000):
         below = theta(28.9, table_5000)
         at = theta(29, table_5000)
-        mp.dps = 40
-        gap = at.value - below.value
-        assert abs(gap - mp.log(29)) <= at.error_bound + below.error_bound + mp.mpf(10) ** -20
+        with mp.workdps(40):
+            gap = at.value - below.value
+            assert abs(gap - mp.log(29)) <= at.error_bound + below.error_bound + mp.mpf(10) ** -20
 
     def test_value_within_claimed_interval_at_domain_edge(self, table_5000):
         x = 1429
