@@ -42,7 +42,6 @@ from .certify import (
     check_valuations,
     find_certificate,
     sample_certified_pairs,
-    verify_valuation_property,
     write_certificates,
 )
 from .theta import (

@@ -6,7 +6,9 @@ A certificate for the pair (n, k) is a prime p with
 
 Whenever such a prime exists, every omit-one value at (n, i, k) has
 p-adic valuation exactly -k and therefore cannot be an integer, for
-every omitted index i.  Window membership is decided by integer
+every omitted index i.  The witness is the triple (n, k, p) alone: the
+threshold and the multiple count floor(n/p) follow from it and are
+derived on demand.  Window membership is decided by integer
 cross-multiplication only: the window boundaries n/(k+1) and n/(k+3)
 can be hit exactly, and float rounding there could mis-certify.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .primes import PrimeTable
-from .rational import Rational, make_rational, p_adic_valuation
+from .rational import make_rational, p_adic_valuation
 from .symfun import EsfRow, esf_rows, k_cap, omit_sweep
 
 
@@ -27,17 +29,17 @@ def certificate_threshold(k: int) -> int:
     return max((k + 2) * (k + 3) // 2, 3 * k + 8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
-    """Witness that the prime window certifies (n, k); validated on construction."""
+    """The witness (n, k, p) that the prime window certifies (n, k).
+
+    The threshold and floor(n/p) are derived, not stored; every
+    condition is checked on construction.
+    """
 
     n: int
     k: int
     p: int
-    window_lo: Rational
-    window_hi: Rational
-    threshold: int
-    multiples_in_range: int
 
     def __post_init__(self):
         n, k, p = self.n, self.k, self.p
@@ -49,28 +51,16 @@ class Certificate:
             raise ValueError(f"p={p} above the window for (n={n}, k={k})")
         if p <= self.threshold:
             raise ValueError(f"p={p} does not exceed the threshold {self.threshold}")
-        if self.threshold != certificate_threshold(k):
-            raise ValueError(f"threshold {self.threshold} wrong for k={k}")
-        if self.window_lo != make_rational(n, k + 3):
-            raise ValueError("window_lo is not n/(k+3)")
-        if self.window_hi != make_rational(n, k + 1):
-            raise ValueError("window_hi is not n/(k+1)")
-        if self.multiples_in_range != n // p:
-            raise ValueError("multiples_in_range is not floor(n/p)")
         if self.multiples_in_range not in (k + 1, k + 2):
             raise ValueError(f"floor(n/p)={self.multiples_in_range} outside {{k+1, k+2}}")
 
-    @classmethod
-    def for_prime(cls, n: int, k: int, p: int) -> "Certificate":
-        return cls(
-            n=n,
-            k=k,
-            p=p,
-            window_lo=make_rational(n, k + 3),
-            window_hi=make_rational(n, k + 1),
-            threshold=certificate_threshold(k),
-            multiples_in_range=n // p,
-        )
+    @property
+    def threshold(self) -> int:
+        return certificate_threshold(self.k)
+
+    @property
+    def multiples_in_range(self) -> int:
+        return self.n // self.p
 
 
 def find_certificate(n: int, k: int, table: PrimeTable) -> Optional[Certificate]:
@@ -90,7 +80,7 @@ def find_certificate(n: int, k: int, table: PrimeTable) -> Optional[Certificate]
         return None
     if (k + 3) * p <= n or p <= certificate_threshold(k):
         return None
-    return Certificate.for_prime(n, k, p)
+    return Certificate(n, k, p)
 
 
 @dataclass(frozen=True)
@@ -134,16 +124,20 @@ def certify_range(n_lo: int, n_hi: int, table: PrimeTable) -> CertifyResult:
 
 def certificate_lines(result: CertifyResult) -> Iterable[str]:
     """Render the certificate list format: one tab-separated line per
-    certificate (n, k, p, threshold, floor(n/p)); gap lines prefixed GAP."""
-    by_pair = {(c.n, c.k): c for c in result.certificates}
-    gap_set = set(result.gaps)
-    for n in range(result.n_lo, result.n_hi + 1):
-        for k in range(1, k_cap(n) + 1):
-            if (n, k) in gap_set:
-                yield f"GAP\t{n}\t{k}"
-            else:
-                c = by_pair[(n, k)]
-                yield f"{c.n}\t{c.k}\t{c.p}\t{c.threshold}\t{c.multiples_in_range}"
+    certificate (n, k, p, threshold, floor(n/p)); gap lines prefixed GAP.
+
+    Certificates and gaps are each in (n, k) order, so one merge walk
+    interleaves them.
+    """
+    gaps = result.gaps
+    g = 0
+    for c in result.certificates:
+        while g < len(gaps) and gaps[g] < (c.n, c.k):
+            yield "GAP\t%d\t%d" % gaps[g]
+            g += 1
+        yield f"{c.n}\t{c.k}\t{c.p}\t{c.threshold}\t{c.multiples_in_range}"
+    for gap in gaps[g:]:
+        yield "GAP\t%d\t%d" % gap
 
 
 def write_certificates(path: str, result: CertifyResult) -> None:
@@ -151,19 +145,6 @@ def write_certificates(path: str, result: CertifyResult) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in certificate_lines(result):
             fh.write(line + "\n")
-
-
-def verify_valuation_property(n: int, i: int, k: int, cert: Certificate) -> bool:
-    """Check v_p(omit(n, i, k)) == -k for the certificate's prime.
-
-    Recomputes the value exactly from scratch; fine for single calls,
-    use :func:`check_valuations` to sweep all i over many pairs.
-    """
-    if cert.n != n or cert.k != k:
-        raise ValueError(f"certificate is for ({cert.n}, {cert.k}), not ({n}, {k})")
-    from .symfun import compute_omit
-
-    return p_adic_valuation(compute_omit(n, i, k), cert.p) == -k
 
 
 @dataclass(frozen=True)

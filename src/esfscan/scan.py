@@ -79,8 +79,10 @@ class ScanConfig:
             raise ScanError("oracle_crosscheck_max must be within the enumeration bound (<= 20)")
         if self.resume and not self.checkpoint_path:
             raise ScanError("resume requested without a checkpoint path")
-        if self.stop_after_n is not None and self.stop_after_n < 2:
-            raise ScanError("stop_after_n must be >= 2")
+        if self.stop_after_n is not None and self.stop_after_n < self.n_start:
+            raise ScanError(
+                f"stop_after_n={self.stop_after_n} is below n_start={self.n_start}"
+            )
 
 
 @dataclass(frozen=True)
@@ -258,11 +260,14 @@ def scan(config: ScanConfig) -> ScanReport:
                 f"checkpoint {config.checkpoint_path} belongs to a scan from"
                 f" n_start={record.n_start}, not n_start={config.n_start}"
             )
+        if stop_n < record.n:
+            raise ScanError(
+                f"checkpoint {config.checkpoint_path} already reaches n={record.n},"
+                f" beyond the requested stop at n={stop_n}"
+            )
         lineage.append((config.checkpoint_path, record.n))
         base_n = record.n
-        for h in record.hits:
-            if h.n <= stop_n:
-                hits[(h.n, h.i, h.k)] = h
+        hits = {(h.n, h.i, h.k): h for h in record.hits}
 
     jobs = min(config.jobs, config.n_end)
     coord = _Coordinator(config, jobs, base_n, hits)
@@ -314,7 +319,7 @@ def scan(config: ScanConfig) -> ScanReport:
     report = ScanReport(
         n_start=config.n_start,
         n_end=config.n_end,
-        n_completed=max(stop_n, base_n),
+        n_completed=stop_n,
         triples_checked=total,
         hits=final_hits,
         elapsed_seconds=elapsed,

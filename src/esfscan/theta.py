@@ -131,45 +131,50 @@ def check_theta_bounds(
         min_lo_slack = None
         min_hi_slack = None
         checks = 0
-        max_width = 0.0
 
         def check_lower(x, acc):
             # need lower_curve(x) < theta-value `acc` (acc = theta on the
             # plateau whose closure contains x)
             nonlocal min_lo_slack, checks
-            slack = mpf(acc.a) - mpf(lower_curve(x).b)
+            lo, hi = mpf(acc.a), mpf(lower_curve(x).b)
+            slack = lo - hi
             checks += 1
             if min_lo_slack is None or slack < min_lo_slack:
                 min_lo_slack = slack
-            if slack <= 0:
+            if not lo > hi:
                 failures.append((float(x), "lower"))
 
         def check_upper(x, acc):
             nonlocal min_hi_slack, checks
-            slack = mpf(upper_curve(x).a) - mpf(acc.b)
+            lo, hi = mpf(upper_curve(x).a), mpf(acc.b)
+            slack = lo - hi
             checks += 1
             if min_hi_slack is None or slack < min_hi_slack:
                 min_hi_slack = slack
-            if slack <= 0:
+            if not lo > hi:
                 failures.append((float(x), "upper"))
 
-        acc = iv.mpf(0)
-        start = table.index_gt(x_lo)
-        for p in table.primes[:start]:
-            acc += iv.log(iv.mpf(p))
-        primes_checked = 0
-        # Both bounds at x_lo itself.
-        check_lower(x_lo, acc)
-        check_upper(x_lo, acc)
-        for p in table.primes[start:]:
-            if p > x_hi:
-                break
-            primes_checked += 1
-            check_lower(p, acc)  # left limit at p: x -> p from below
-            acc += iv.log(iv.mpf(p))
-            check_upper(p, acc)  # right after the jump at p
-        check_lower(x_hi, acc)
-        max_width = float(mpf(acc.delta.b))
+        # The endpoint comparisons that decide each verdict are exact; the
+        # slacks and the width are formed at the working precision, not at
+        # the global mpmath one.
+        with mp.workprec(iv.prec):
+            acc = iv.mpf(0)
+            start = table.index_gt(x_lo)
+            for p in table.primes[:start]:
+                acc += iv.log(iv.mpf(p))
+            primes_checked = 0
+            # Both bounds at x_lo itself.
+            check_lower(x_lo, acc)
+            check_upper(x_lo, acc)
+            for p in table.primes[start:]:
+                if p > x_hi:
+                    break
+                primes_checked += 1
+                check_lower(p, acc)  # left limit at p: x -> p from below
+                acc += iv.log(iv.mpf(p))
+                check_upper(p, acc)  # right after the jump at p
+            check_lower(x_hi, acc)
+            max_width = float(mpf(acc.delta.b))
     finally:
         iv.prec = saved
     return ThetaBoundsReport(

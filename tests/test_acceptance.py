@@ -1,6 +1,7 @@
 """Acceptance gate: one test per criterion, exact tolerances, one
 printed PASS line each (run with -s to see them inline)."""
 
+import hashlib
 import random
 import time
 
@@ -104,6 +105,10 @@ def test_criterion_05_identity_suite_to_60():
     )
 
 
+# sha256 of the certificate file for [13543, 14000].
+CERTS_13543_14000_SHA256 = "4342a955f57be1b6ad9d4c977e0282cdb3b302bd2b0b921579d18fd53dd1d6a3"
+
+
 def test_criterion_06_certify_subranges_have_zero_gaps(run_cli, tmp_path):
     started = time.perf_counter()
     for lo, hi in ((13543, 14000), (50000, 50216)):
@@ -115,6 +120,8 @@ def test_criterion_06_certify_subranges_have_zero_gaps(run_cli, tmp_path):
         lines = (tmp_path / f"certs_{lo}.tsv").read_text().splitlines()
         assert not any(line.startswith("GAP") for line in lines)
         assert len(lines) == sum(k_cap(n) for n in range(lo, hi + 1))
+    digest = hashlib.sha256((tmp_path / "certs_13543.tsv").read_bytes()).hexdigest()
+    assert digest == CERTS_13543_14000_SHA256
     _report(6, time.perf_counter() - started, "zero gaps on [13543,14000] and [50000,50216]")
 
 

@@ -92,6 +92,8 @@ class TestScan:
             ScanConfig(n_start=2, n_end=4, resume=True).validate()
         with pytest.raises(ScanError):
             ScanConfig(n_start=2, n_end=4, oracle_crosscheck_max=25).validate()
+        with pytest.raises(ScanError, match="stop_after_n=50 is below n_start=100"):
+            ScanConfig(n_start=100, n_end=200, stop_after_n=50).validate()
 
 
 KNOWN = (IntegerHit(2, 2, 1, "1/1"), IntegerHit(4, 4, 2, "1/1"))
@@ -235,6 +237,21 @@ class TestResume:
                 )
             )
 
+    def test_resume_stopping_before_checkpoint_refused(self, tmp_path):
+        # Stopping at n = 3 would drop the recorded hit (4,4,2) and still
+        # report n up to 60 as scanned.
+        ckpt = str(tmp_path / "to60.ckpt")
+        _, expected = run_scan(
+            tmp_path, "a", n_start=2, n_end=60, checkpoint_path=ckpt, checkpoint_every=10
+        )
+        with pytest.raises(ScanError, match="n=60.*n=3"):
+            run_scan(
+                tmp_path, "a", n_start=2, n_end=60, checkpoint_path=ckpt,
+                checkpoint_every=10, resume=True, stop_after_n=3,
+            )
+        assert (tmp_path / "a.csv").read_bytes() == expected
+        assert load_checkpoint(ckpt).n == 60
+
     def test_resume_at_end_is_noop(self, tmp_path):
         ckpt = str(tmp_path / "done.ckpt")
         _, expected = run_scan(
@@ -326,4 +343,14 @@ class TestCli:
         code, _ = run_cli(["scan", "--n-start", "10", "--stop-after-n", "20", *common])
         assert code == 0
         code, _ = run_cli(["scan", "--n-start", "2", "--resume", *common])
+        assert code == 1
+
+    def test_resume_stopping_before_checkpoint_exits_1(self, run_cli, tmp_path):
+        ckpt = str(tmp_path / "to60.ckpt")
+        common = [
+            "--n-start", "2", "--n-end", "60", "--checkpoint", ckpt,
+            "--checkpoint-every", "10", "--out", str(tmp_path / "o.csv"),
+        ]
+        assert run_cli(["scan", *common])[0] == 0
+        code, _ = run_cli(["scan", *common, "--resume", "--stop-after-n", "3"])
         assert code == 1

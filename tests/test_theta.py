@@ -66,6 +66,12 @@ class TestThetaBounds:
         table = sieve(100000)
         assert check_theta_bounds(1429, 100000, table).passed
 
+    def test_report_independent_of_global_precision(self, table_50216):
+        # Slacks must be formed at the working precision, not mp.prec.
+        with mp.workprec(20):
+            coarse = check_theta_bounds(1429, 5000, table_50216)
+        assert coarse == check_theta_bounds(1429, 5000, table_50216)
+
     def test_counts_checks(self, table_50216):
         report = check_theta_bounds(1429, 2000, table_50216)
         in_range = [p for p in table_50216.primes if 1429 < p <= 2000]
