@@ -53,7 +53,6 @@ def _build_parser() -> _Parser:
         default=None,
         help="stop gracefully after completing this n (checkpoint written there)",
     )
-    p_scan.add_argument("--oracle-crosscheck-max", type=int, default=12)
 
     p_value = sub.add_parser("value", help="print one omit-one value as num/den")
     p_value.add_argument("n", type=int)
@@ -84,7 +83,6 @@ def _cmd_scan(args) -> int:
         checkpoint_path=args.checkpoint,
         report_path=args.out,
         checkpoint_every=args.checkpoint_every,
-        oracle_crosscheck_max=args.oracle_crosscheck_max,
         resume=args.resume,
         stop_after_n=args.stop_after_n,
     )

@@ -215,7 +215,8 @@ class MarginReport:
 
     @property
     def margin(self) -> mpf:
-        return (self.margin_lo + self.margin_hi) / 2
+        with mp.workprec(self.precision_bits + _GUARD_BITS):
+            return (self.margin_lo + self.margin_hi) / 2
 
     @property
     def passed(self) -> bool:
@@ -239,10 +240,13 @@ def case1_margin(n: int, prec_bits: Optional[int] = None) -> MarginReport:
         b = iv.e * iv.log(n_iv) + iv.e
         c355 = iv.mpf(355) / 1000
         margin = (n_iv / (b + 1)) * (2 / (b + 3) - c355 / iv.log(n_iv / (b + 3)))
-        aux_product = mpf(n_iv.a) > mpf(((b + 3) * (3 * b + 8)).b)
-        aux_square = mpf(n_iv.a) > mpf(((b + 2) * (b + 3) ** 2 / 2).b)
-        in_domain = mpf((n_iv / (b + 3)).a) >= THETA_BOUND_X_MIN
-        lo, hi = mpf(margin.a), mpf(margin.b)
+        # At the working precision every endpoint converts exactly, so the
+        # comparisons below are exact and [lo, hi] stays an outward enclosure.
+        with mp.workprec(iv.prec):
+            aux_product = mpf(n_iv.a) > mpf(((b + 3) * (3 * b + 8)).b)
+            aux_square = mpf(n_iv.a) > mpf(((b + 2) * (b + 3) ** 2 / 2).b)
+            in_domain = mpf((n_iv / (b + 3)).a) >= THETA_BOUND_X_MIN
+            lo, hi = mpf(margin.a), mpf(margin.b)
     finally:
         iv.prec = saved
     return MarginReport(

@@ -1,4 +1,7 @@
+import importlib
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -47,7 +50,7 @@ class TestScan:
 
     def test_online_oracle_crosscheck_runs_clean(self, tmp_path):
         # n <= 12 is fully re-verified against subset enumeration inline.
-        report, _ = run_scan(tmp_path, "r", n_start=2, n_end=12, oracle_crosscheck_max=12)
+        report, _ = run_scan(tmp_path, "r", n_start=2, n_end=12)
         assert report.triples_checked == closed_form_triple_count(2, 12)
 
     def test_deterministic_across_jobs_and_cadence(self, tmp_path):
@@ -77,6 +80,20 @@ class TestScan:
         assert len(summary["workers"]) == 2
         assert sum(w["triples_checked"] for w in summary["workers"]) == report.triples_checked
 
+    def test_checkpoints_only_at_tested_n(self, tmp_path, monkeypatch):
+        # The package rebinds esfscan.scan to the function, so reach the
+        # module through importlib.
+        scan_module = importlib.import_module("esfscan.scan")
+        saved = []
+        monkeypatch.setattr(
+            scan_module, "save_checkpoint", lambda path, record: saved.append(record.n)
+        )
+        run_scan(
+            tmp_path, "r", n_start=30, n_end=40, checkpoint_every=10,
+            checkpoint_path=str(tmp_path / "r.ckpt"),
+        )
+        assert saved == [30, 40]
+
     def test_unwritable_report_is_startup_failure(self, tmp_path):
         with pytest.raises(ScanError, match="not writable"):
             scan(ScanConfig(n_start=2, n_end=10, report_path=str(tmp_path / "no" / "dir.csv")))
@@ -90,10 +107,29 @@ class TestScan:
             ScanConfig(n_start=2, n_end=4, jobs=0).validate()
         with pytest.raises(ScanError):
             ScanConfig(n_start=2, n_end=4, resume=True).validate()
-        with pytest.raises(ScanError):
-            ScanConfig(n_start=2, n_end=4, oracle_crosscheck_max=25).validate()
         with pytest.raises(ScanError, match="stop_after_n=50 is below n_start=100"):
             ScanConfig(n_start=100, n_end=200, stop_after_n=50).validate()
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched oracle reaches the workers only when they are forked",
+)
+class TestParallelFailure:
+    def test_worker_check_failure_names_triple(self, tmp_path, monkeypatch):
+        scan_module = importlib.import_module("esfscan.scan")
+        monkeypatch.setattr(scan_module, "omit_oracle", lambda n, i, k: -1)
+        # Both workers fail at n = 2; the first in worker order is reported.
+        with pytest.raises(ScanError, match=r"enumeration at \(2,1,1\)"):
+            run_scan(tmp_path, "r", n_start=2, n_end=12, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_is_reported(self, tmp_path, monkeypatch):
+        scan_module = importlib.import_module("esfscan.scan")
+        monkeypatch.setattr(scan_module, "omit_oracle", lambda n, i, k: os._exit(3))
+        with pytest.raises(ScanError, match="exited without reporting"):
+            run_scan(tmp_path, "r", n_start=2, n_end=12, jobs=2)
+        assert multiprocessing.active_children() == []
 
 
 KNOWN = (IntegerHit(2, 2, 1, "1/1"), IntegerHit(4, 4, 2, "1/1"))

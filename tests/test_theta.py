@@ -103,6 +103,16 @@ class TestMargin:
         with pytest.raises(ValueError):
             case1_margin(50216)
 
+    def test_report_independent_of_global_precision(self):
+        # The enclosure and the midpoint must not be rounded at mp.prec.
+        with mp.workprec(20):
+            coarse = case1_margin(50217)
+            coarse_margin = coarse.margin
+        fine = case1_margin(50217)
+        assert coarse == fine
+        assert coarse_margin == fine.margin
+        assert fine.margin_lo < fine.margin_hi
+
 
 class TestPrecisionConfig:
     def test_default(self, monkeypatch):
