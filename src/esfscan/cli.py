@@ -11,7 +11,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from typing import List, Optional
+
+from mpmath import mpf
+from mpmath.libmp import to_rational
 
 from .certify import certify_range, write_certificates
 from .checkpoint import CheckpointError
@@ -21,10 +25,10 @@ from .symfun import compute_omit
 from .rational import format_rational
 from .theta import MARGIN_N_MIN, case1_margin, check_theta_bounds
 
-DEFAULT_SIEVE_LIMIT = 50216
-
 USAGE_ERROR = 1
 UNEXPECTED_FINDING = 2
+
+MARGIN_DIGITS = 20  # significant digits of the printed margin enclosure
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,7 +66,6 @@ def _build_parser() -> _Parser:
     p_cert = sub.add_parser("certify", help="prime-window certificates over an n-range")
     p_cert.add_argument("--n-start", type=int, required=True)
     p_cert.add_argument("--n-end", type=int, required=True)
-    p_cert.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
     p_cert.add_argument("--out", default=None, help="certificate list file path")
 
     p_theta = sub.add_parser("theta", help="verify the prime-log sum bounds on a range")
@@ -116,9 +119,7 @@ def _cmd_certify(args) -> int:
     if not 2 <= args.n_start <= args.n_end:
         print("need 2 <= n-start <= n-end", file=sys.stderr)
         return USAGE_ERROR
-    limit = max(args.sieve_limit, args.n_end)
-    table = sieve(limit)
-    result = certify_range(args.n_start, args.n_end, table)
+    result = certify_range(args.n_start, args.n_end, sieve(args.n_end))
     if args.out:
         write_certificates(args.out, result)
     print(
@@ -153,6 +154,12 @@ def _cmd_theta(args) -> int:
     return 0 if report.passed else UNEXPECTED_FINDING
 
 
+def _directed(x: mpf, rounding: str) -> Decimal:
+    """x rounded to MARGIN_DIGITS significant digits in one direction."""
+    num, den = to_rational(x._mpf_)
+    return Context(prec=MARGIN_DIGITS, rounding=rounding).divide(Decimal(num), Decimal(den))
+
+
 def _cmd_margin(args) -> int:
     if args.n < MARGIN_N_MIN:
         print(f"margin check applies for n >= {MARGIN_N_MIN}", file=sys.stderr)
@@ -160,8 +167,9 @@ def _cmd_margin(args) -> int:
     report = case1_margin(args.n)
     status = "PASS" if report.passed else "FAIL"
     print(
-        f"margin at n={report.n}: [{report.margin_lo}, {report.margin_hi}] {status} "
-        f"({report.precision_bits}-bit precision)"
+        f"margin at n={report.n}: [{_directed(report.margin_lo, ROUND_FLOOR)}, "
+        f"{_directed(report.margin_hi, ROUND_CEILING)}] {status} "
+        f"({report.precision_bits}-bit precision, rounded outward to {MARGIN_DIGITS} digits)"
     )
     print(
         f"  aux product inequality: {'ok' if report.aux_product_ok else 'VIOLATED'};"

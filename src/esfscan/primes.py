@@ -1,12 +1,12 @@
-"""Prime table generation via a segmented sieve of Eratosthenes."""
+"""Prime table generation via a sieve of Eratosthenes."""
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Tuple
-
-_SEGMENT_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -29,32 +29,13 @@ class PrimeTable:
         return bisect.bisect_right(self.primes, x)
 
 
-def _simple_sieve(limit: int) -> bytearray:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
-    return flags
-
-
 def sieve(limit: int) -> PrimeTable:
-    """Sieve all primes <= limit, working in fixed-size segments."""
+    """Sieve all primes <= limit in one pass over a flag per integer."""
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
-    root = int(limit**0.5)
-    base_flags = _simple_sieve(root)
-    base_primes = [p for p in range(2, root + 1) if base_flags[p]]
-    primes = list(base_primes)
-    lo = root + 1
-    while lo <= limit:
-        hi = min(lo + _SEGMENT_SIZE - 1, limit)
-        seg = bytearray([1]) * (hi - lo + 1)
-        for p in base_primes:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start > hi:
-                continue
-            seg[start - lo :: p] = b"\x00" * len(range(start, hi + 1, p))
-        primes.extend(m for m in range(lo, hi + 1) if seg[m - lo])
-        lo = hi + 1
-    return PrimeTable(limit=limit, primes=tuple(primes))
+    flags = bytearray([1]) * (limit + 1)
+    flags[0:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return PrimeTable(limit=limit, primes=tuple(compress(range(limit + 1), flags)))

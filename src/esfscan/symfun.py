@@ -31,9 +31,10 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, List, Optional, Tuple
 
-from mpmath import iv, mpf
+from mpmath import iv
 
 from .rational import Rational, make_rational
+from .theta import working_precision
 
 # Enumeration oracles refuse larger n; they exist for correctness, not speed.
 ORACLE_BOUND_DEFAULT = 20
@@ -54,14 +55,10 @@ def k_cap(n: int) -> int:
     """
     if n < 2:
         raise ValueError("k_cap requires n >= 2")
-    saved = iv.prec
-    iv.prec = _K_CAP_PREC_BITS
-    try:
+    with working_precision(_K_CAP_PREC_BITS):
         bound = iv.e * iv.log(iv.mpf(n)) + iv.e
-        cap = math.floor(mpf(bound.b))
-    finally:
-        iv.prec = saved
-    return min(n - 1, cap)
+    # int() truncates the exact upper endpoint, which is positive: its floor.
+    return min(n - 1, int(bound.b))
 
 
 @dataclass(frozen=True)
@@ -179,23 +176,8 @@ def omit_value(
     col: OmitFirstColumn,
     prev_row: Optional[EsfRow] = None,
 ) -> Rational:
-    """omit(n, i, k), given the row and column already advanced to n.
-
-    For i = n the shortcut omit(n, n, k) = esf(n-1, k) is used, which
-    requires ``prev_row`` (the row for n-1).  For i < n the value is
-    accumulated from the column entry through ascending k.
-    """
-    if i > n or i < 1:
-        raise ValueError(f"omitted index i={i} out of range for n={n}")
-    if k >= n or k < 1:
-        raise ValueError(f"subset size k={k} out of range for n={n}")
-    if row.n != n or col.n != n:
-        raise ValueError("row/column not advanced to n")
-    if i == n:
-        if prev_row is None or prev_row.n != n - 1:
-            raise ValueError("i = n requires the row for n-1")
-        return prev_row.value(k)
-    return omit_sweep(col.value(i), make_rational(1, i), row, k)[-1]
+    """omit(n, i, k): the last value of :func:`omit_values` up to k."""
+    return list(omit_values(n, i, k, row, col, prev_row))[-1][1]
 
 
 def omit_values(
@@ -206,9 +188,19 @@ def omit_values(
     col: OmitFirstColumn,
     prev_row: Optional[EsfRow] = None,
 ) -> Iterator[Tuple[int, Rational]]:
-    """Yield (k, omit(n, i, k)) for k = 1..k_max from one sweep."""
+    """Yield (k, omit(n, i, k)) for k = 1..k_max from one sweep.
+
+    The row and column must be advanced to n.  For i = n the shortcut
+    omit(n, n, k) = esf(n-1, k) is used, which requires ``prev_row`` (the
+    row for n-1).  For i < n the values are accumulated from the column
+    entry through ascending k.
+    """
+    if not 1 <= i <= n:
+        raise ValueError(f"omitted index i={i} out of range for n={n}")
     if not 1 <= k_max < n:
         raise ValueError(f"k_max={k_max} out of range for n={n}")
+    if row.n != n or col.n != n:
+        raise ValueError(f"row (n={row.n}) or column (n={col.n}) not advanced to n={n}")
     if i == n:
         if prev_row is None or prev_row.n != n - 1:
             raise ValueError("i = n requires the row for n-1")

@@ -9,14 +9,20 @@ a reported pass is rigorous at the stated precision.
 
 Working precision defaults to 96 bits and can be overridden through the
 ESF_PRECISION_BITS environment variable; a fixed number of guard bits is
-added internally.
+added internally.  Every function here, and ``symfun.k_cap``, runs in
+one precision scope, :func:`working_precision`, which sets the interval
+and the point precision together and restores both.  Endpoint
+conversions, slacks and midpoints are therefore formed at the working
+precision, never at whatever global mpmath precision the caller has set.
+No other code in the package sets an mpmath precision.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from mpmath import iv, mp, mpf
 
@@ -47,6 +53,17 @@ def precision_bits() -> int:
     return bits
 
 
+@contextmanager
+def working_precision(bits: int) -> Iterator[None]:
+    """Run the body with ``iv.prec`` and ``mp.prec`` both at ``bits``."""
+    saved = iv.prec, mp.prec
+    iv.prec = mp.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec, mp.prec = saved
+
+
 @dataclass(frozen=True)
 class ThetaValue:
     value: mpf  # enclosure midpoint
@@ -54,26 +71,15 @@ class ThetaValue:
     precision_bits: int
 
 
-def theta(x: float, table: PrimeTable, prec_bits: Optional[int] = None) -> ThetaValue:
+def theta(x: float, table: PrimeTable) -> ThetaValue:
     """Sum of ln p over primes p <= x, with a rigorous error bound."""
     if x > table.limit:
         raise ValueError(f"x={x} beyond prime table limit {table.limit}")
-    bits = prec_bits if prec_bits is not None else precision_bits()
-    saved = iv.prec
-    iv.prec = bits + _GUARD_BITS
-    try:
-        acc = iv.mpf(0)
-        for p in table.primes:
-            if p > x:
-                break
-            acc += iv.log(iv.mpf(p))
-        # At the global mpmath precision (53 bits by default) the midpoint
-        # would be rounded far beyond the error bound claimed below.
-        with mp.workprec(iv.prec):
-            mid = (mpf(acc.a) + mpf(acc.b)) / 2
+    bits = precision_bits()
+    with working_precision(bits + _GUARD_BITS):
+        acc = sum((iv.log(iv.mpf(p)) for p in table.primes[: table.index_gt(x)]), iv.mpf(0))
+        mid = (mpf(acc.a) + mpf(acc.b)) / 2
         width = float(mpf(acc.delta.b))
-    finally:
-        iv.prec = saved
     return ThetaValue(value=mid, error_bound=width, precision_bits=bits)
 
 
@@ -94,9 +100,7 @@ class ThetaBoundsReport:
         return not self.failures
 
 
-def check_theta_bounds(
-    x_lo: float, x_hi: float, table: PrimeTable, prec_bits: Optional[int] = None
-) -> ThetaBoundsReport:
+def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoundsReport:
     """Verify the two-sided bound everywhere on [x_lo, x_hi].
 
     The prime-log sum only changes at primes, both bound curves increase,
@@ -112,79 +116,51 @@ def check_theta_bounds(
         raise ValueError(f"empty range [{x_lo}, {x_hi}]")
     if x_hi > table.limit:
         raise ValueError(f"x_hi={x_hi} beyond prime table limit {table.limit}")
-    bits = prec_bits if prec_bits is not None else precision_bits()
-    saved = iv.prec
-    iv.prec = bits + _GUARD_BITS
-    try:
+    bits = precision_bits()
+    failures: List[Tuple[float, str]] = []
+    min_slack = {"lower": None, "upper": None}
+    checks = 0
+    with working_precision(bits + _GUARD_BITS):
         c_lo = iv.mpf(_LOWER_COEFF[0]) / _LOWER_COEFF[1]
         c_hi = iv.mpf(_UPPER_COEFF[0]) / _UPPER_COEFF[1]
 
-        def lower_curve(x):
+        def check(x, acc, side):
+            # The lower curve must lie below the enclosure `acc` of theta
+            # on the plateau whose closure contains x, the upper curve
+            # above it; the verdict compares opposing endpoints exactly.
+            nonlocal checks
             xi = iv.mpf(x)
-            return xi - c_lo * xi / iv.log(xi)
-
-        def upper_curve(x):
-            xi = iv.mpf(x)
-            return xi + c_hi * xi / iv.log(xi)
-
-        failures: List[Tuple[float, str]] = []
-        min_lo_slack = None
-        min_hi_slack = None
-        checks = 0
-
-        def check_lower(x, acc):
-            # need lower_curve(x) < theta-value `acc` (acc = theta on the
-            # plateau whose closure contains x)
-            nonlocal min_lo_slack, checks
-            lo, hi = mpf(acc.a), mpf(lower_curve(x).b)
+            if side == "lower":
+                lo, hi = mpf(acc.a), mpf((xi - c_lo * xi / iv.log(xi)).b)
+            else:
+                lo, hi = mpf((xi + c_hi * xi / iv.log(xi)).a), mpf(acc.b)
             slack = lo - hi
             checks += 1
-            if min_lo_slack is None or slack < min_lo_slack:
-                min_lo_slack = slack
+            if min_slack[side] is None or slack < min_slack[side]:
+                min_slack[side] = slack
             if not lo > hi:
-                failures.append((float(x), "lower"))
+                failures.append((float(x), side))
 
-        def check_upper(x, acc):
-            nonlocal min_hi_slack, checks
-            lo, hi = mpf(upper_curve(x).a), mpf(acc.b)
-            slack = lo - hi
-            checks += 1
-            if min_hi_slack is None or slack < min_hi_slack:
-                min_hi_slack = slack
-            if not lo > hi:
-                failures.append((float(x), "upper"))
-
-        # The endpoint comparisons that decide each verdict are exact; the
-        # slacks and the width are formed at the working precision, not at
-        # the global mpmath one.
-        with mp.workprec(iv.prec):
-            acc = iv.mpf(0)
-            start = table.index_gt(x_lo)
-            for p in table.primes[:start]:
-                acc += iv.log(iv.mpf(p))
-            primes_checked = 0
-            # Both bounds at x_lo itself.
-            check_lower(x_lo, acc)
-            check_upper(x_lo, acc)
-            for p in table.primes[start:]:
-                if p > x_hi:
-                    break
-                primes_checked += 1
-                check_lower(p, acc)  # left limit at p: x -> p from below
-                acc += iv.log(iv.mpf(p))
-                check_upper(p, acc)  # right after the jump at p
-            check_lower(x_hi, acc)
-            max_width = float(mpf(acc.delta.b))
-    finally:
-        iv.prec = saved
+        start = table.index_gt(x_lo)
+        in_range = table.primes[start : table.index_gt(x_hi)]
+        acc = sum((iv.log(iv.mpf(p)) for p in table.primes[:start]), iv.mpf(0))
+        # Both bounds at x_lo itself.
+        check(x_lo, acc, "lower")
+        check(x_lo, acc, "upper")
+        for p in in_range:
+            check(p, acc, "lower")  # left limit at p: x -> p from below
+            acc += iv.log(iv.mpf(p))
+            check(p, acc, "upper")  # right after the jump at p
+        check(x_hi, acc, "lower")
+        max_width = float(mpf(acc.delta.b))
     return ThetaBoundsReport(
         x_lo=float(x_lo),
         x_hi=float(x_hi),
         precision_bits=bits,
-        primes_checked=primes_checked,
+        primes_checked=len(in_range),
         checks=checks,
-        min_lower_slack=float(min_lo_slack),
-        min_upper_slack=float(min_hi_slack),
+        min_lower_slack=float(min_slack["lower"]),
+        min_upper_slack=float(min_slack["upper"]),
         max_enclosure_width=max_width,
         failures=tuple(failures),
     )
@@ -215,7 +191,7 @@ class MarginReport:
 
     @property
     def margin(self) -> mpf:
-        with mp.workprec(self.precision_bits + _GUARD_BITS):
+        with working_precision(self.precision_bits + _GUARD_BITS):
             return (self.margin_lo + self.margin_hi) / 2
 
     @property
@@ -228,27 +204,22 @@ class MarginReport:
         )
 
 
-def case1_margin(n: int, prec_bits: Optional[int] = None) -> MarginReport:
+def case1_margin(n: int) -> MarginReport:
     """Evaluate the analytic margin at n >= 50217 in interval arithmetic."""
     if n < MARGIN_N_MIN:
         raise ValueError(f"margin check applies for n >= {MARGIN_N_MIN}, got {n}")
-    bits = prec_bits if prec_bits is not None else precision_bits()
-    saved = iv.prec
-    iv.prec = bits + _GUARD_BITS
-    try:
+    bits = precision_bits()
+    with working_precision(bits + _GUARD_BITS):
         n_iv = iv.mpf(n)
         b = iv.e * iv.log(n_iv) + iv.e
         c355 = iv.mpf(355) / 1000
         margin = (n_iv / (b + 1)) * (2 / (b + 3) - c355 / iv.log(n_iv / (b + 3)))
-        # At the working precision every endpoint converts exactly, so the
-        # comparisons below are exact and [lo, hi] stays an outward enclosure.
-        with mp.workprec(iv.prec):
-            aux_product = mpf(n_iv.a) > mpf(((b + 3) * (3 * b + 8)).b)
-            aux_square = mpf(n_iv.a) > mpf(((b + 2) * (b + 3) ** 2 / 2).b)
-            in_domain = mpf((n_iv / (b + 3)).a) >= THETA_BOUND_X_MIN
-            lo, hi = mpf(margin.a), mpf(margin.b)
-    finally:
-        iv.prec = saved
+        # Every endpoint converts exactly, so the comparisons below are
+        # exact and [lo, hi] stays an outward enclosure.
+        aux_product = mpf(n_iv.a) > mpf(((b + 3) * (3 * b + 8)).b)
+        aux_square = mpf(n_iv.a) > mpf(((b + 2) * (b + 3) ** 2 / 2).b)
+        in_domain = mpf((n_iv / (b + 3)).a) >= THETA_BOUND_X_MIN
+        lo, hi = mpf(margin.a), mpf(margin.b)
     return MarginReport(
         n=n,
         margin_lo=lo,

@@ -2,6 +2,7 @@ import io
 from contextlib import redirect_stdout
 
 import pytest
+from mpmath import iv, mp
 
 from esfscan import sieve
 from esfscan.cli import main as cli_main
@@ -35,6 +36,20 @@ GOLDEN_FULL = {
     (1, 1): "1/1",
     (3, 2): "1/1",
 }
+
+
+@pytest.fixture(autouse=True)
+def mpmath_precision_restored():
+    """Fail any test that leaves the global mpmath precisions changed.
+
+    A leaked precision would let a later test pass or fail for a reason
+    of its own: every precision change must be scoped.
+    """
+    before = mp.prec, iv.prec
+    yield
+    after = mp.prec, iv.prec
+    if after != before:
+        pytest.fail(f"(mp.prec, iv.prec) left at {after}, was {before}")
 
 
 @pytest.fixture(scope="session")

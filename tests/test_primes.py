@@ -32,8 +32,8 @@ class TestSieve:
 
     @pytest.mark.parametrize("limit", [65535, 65536, 65537, 70000])
     def test_segment_boundaries(self, limit):
-        # Segments are 2^16 wide; limits straddling the boundary must agree
-        # with a single-pass sieve.
+        # Limits on both sides of 2^16 must agree with a reference sieve
+        # kept here, independent of the package's code.
         flags = bytearray([1]) * (limit + 1)
         flags[0:2] = b"\x00\x00"
         for p in range(2, int(limit**0.5) + 1):

@@ -2,8 +2,10 @@ import importlib
 import json
 import multiprocessing
 import os
+from fractions import Fraction
 
 import pytest
+from mpmath.libmp import to_rational
 
 from esfscan.checkpoint import (
     CheckpointError,
@@ -19,6 +21,12 @@ from esfscan.scan import (
     scan,
 )
 from esfscan.symfun import k_cap
+from esfscan.theta import case1_margin
+
+
+def mpf_fraction(x):
+    """The exact value of an mpf as a Fraction."""
+    return Fraction(*to_rational(x._mpf_))
 
 
 def run_scan(tmp_path, name, **kwargs):
@@ -330,9 +338,7 @@ class TestCli:
 
     def test_certify_gap_exit_code(self, run_cli, tmp_path):
         out = str(tmp_path / "gaps.tsv")
-        code, text = run_cli(
-            ["certify", "--n-start", "4", "--n-end", "4", "--sieve-limit", "100", "--out", out]
-        )
+        code, text = run_cli(["certify", "--n-start", "4", "--n-end", "4", "--out", out])
         assert code == 2
         assert "3 gap(s)" in text
         assert (tmp_path / "gaps.tsv").read_text().splitlines() == [
@@ -342,9 +348,7 @@ class TestCli:
         ]
 
     def test_certify_clean_range(self, run_cli, tmp_path):
-        code, text = run_cli(
-            ["certify", "--n-start", "13543", "--n-end", "13550", "--sieve-limit", "13550"]
-        )
+        code, text = run_cli(["certify", "--n-start", "13543", "--n-end", "13550"])
         assert code == 0 and "0 gap(s)" in text
 
     def test_theta_pass(self, run_cli):
@@ -358,6 +362,13 @@ class TestCli:
     def test_margin(self, run_cli):
         code, text = run_cli(["margin", "50217"])
         assert code == 0 and "PASS" in text
+        # The printed enclosure is rounded outward and keeps its width.
+        printed_lo, printed_hi = text[text.index("[") + 1 : text.index("]")].split(", ")
+        report = case1_margin(50217)
+        lo, hi = Fraction(printed_lo), Fraction(printed_hi)
+        assert lo <= mpf_fraction(report.margin_lo)
+        assert hi >= mpf_fraction(report.margin_hi)
+        assert lo < hi
         code, _ = run_cli(["margin", "50216"])
         assert code == 1
 

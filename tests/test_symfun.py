@@ -92,6 +92,19 @@ class TestKCap:
         with pytest.raises(ValueError):
             k_cap(1)
 
+    def test_independent_of_global_precision(self):
+        # A coarse caller precision must neither change a cap nor leave a
+        # wrong one in the cache.
+        k_cap.cache_clear()
+        try:
+            with mp.workprec(8):
+                assert k_cap(191) == 16
+            with mp.workprec(3):
+                assert k_cap(23) == 11
+            assert k_cap(191) == 16 and k_cap(23) == 11
+        finally:
+            k_cap.cache_clear()
+
 
 class TestRowRecursion:
     def test_first_rows(self):
@@ -159,6 +172,12 @@ class TestOmitRecursion:
                     omit_value(5, 1, 5, row, col)
                 with pytest.raises(ValueError):
                     omit_value(5, 5, 2, row, col)  # prev_row missing
+            if row.n == 4:
+                # A row and column for another n must not be relabelled.
+                with pytest.raises(ValueError):
+                    list(omit_values(5, 2, 3, row, col))
+                with pytest.raises(ValueError):
+                    omit_value(5, 2, 3, row, col)
         with pytest.raises(ValueError):
             compute_omit(4, 1, 4)
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
 from esfscan.theta import (
     DEFAULT_PRECISION_BITS,
@@ -9,6 +9,7 @@ from esfscan.theta import (
     check_theta_bounds,
     precision_bits,
     theta,
+    working_precision,
 )
 
 
@@ -112,6 +113,16 @@ class TestMargin:
         assert coarse == fine
         assert coarse_margin == fine.margin
         assert fine.margin_lo < fine.margin_hi
+
+
+class TestWorkingPrecision:
+    def test_sets_and_restores_both(self):
+        before = mp.prec, iv.prec
+        with pytest.raises(RuntimeError):
+            with working_precision(200):
+                assert mp.prec == iv.prec == 200
+                raise RuntimeError
+        assert (mp.prec, iv.prec) == before
 
 
 class TestPrecisionConfig:
