@@ -29,7 +29,6 @@ from .symfun import (
     omit_first_column_start,
     omit_oracle,
     omit_sweep,
-    omit_value,
     omit_values,
 )
 from .primes import PrimeTable, sieve

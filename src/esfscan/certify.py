@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .primes import PrimeTable
+# make_rational is unused here, but the benchmark's tracer rebinds it by this name.
 from .rational import make_rational, p_adic_valuation
-from .symfun import EsfRow, esf_rows, k_cap, omit_sweep
+from .symfun import esf_rows, k_cap, omit_sweep
 
 
 def certificate_threshold(k: int) -> int:
@@ -163,41 +164,31 @@ class ValuationCheck:
 def check_valuations(pairs: Sequence[Tuple[int, int]], table: PrimeTable) -> List[ValuationCheck]:
     """Verify the valuation property for every omitted index i at each pair.
 
-    One rolling-row sweep up to max n serves all pairs; per pair the
-    omit-one values are accumulated over ascending k for each i, so the
-    total cost is sum over pairs of n*k exact operations.
+    One rolling-row sweep up to max n serves all pairs; per pair each
+    omit-one value comes from one :func:`omit_sweep` up to k, so the total
+    cost is sum over pairs of n*k exact operations.
     """
     if not pairs:
         return []
     by_n: dict = {}
     for n, k in pairs:
         by_n.setdefault(n, []).append(k)
-    n_max = max(by_n)
-    cap = max(k for ks in by_n.values() for k in ks)
+    cap = max(k for _, k in pairs)
     results: List[ValuationCheck] = []
-    prev: Optional[EsfRow] = None
-    for row in esf_rows(n_max, cap=cap):
+    for row in esf_rows(max(by_n), cap=cap):
         n = row.n
-        if n in by_n and prev is not None:
-            for k in sorted(by_n[n]):
-                cert = find_certificate(n, k, table)
-                if cert is None:
-                    raise ValueError(f"no certificate exists for (n={n}, k={k})")
-                failures = []
-                for i in range(1, n + 1):
-                    if i == n:
-                        val = prev.value(k)
-                    else:
-                        r_i = make_rational(1, i)
-                        val = omit_sweep(row.harmonic - r_i, r_i, row, k)[-1]
-                    if p_adic_valuation(val, cert.p) != -k:
-                        failures.append(i)
-                results.append(
-                    ValuationCheck(
-                        n=n, k=k, p=cert.p, indices_checked=n, failures=tuple(failures)
-                    )
-                )
-        prev = row
+        for k in sorted(by_n.get(n, ())):
+            cert = find_certificate(n, k, table)
+            if cert is None:
+                raise ValueError(f"no certificate exists for (n={n}, k={k})")
+            failures = tuple(
+                i
+                for i in range(1, n + 1)
+                if p_adic_valuation(omit_sweep(row, i, k)[-1], cert.p) != -k
+            )
+            results.append(
+                ValuationCheck(n=n, k=k, p=cert.p, indices_checked=n, failures=failures)
+            )
     return results
 
 

@@ -23,7 +23,7 @@ from .primes import sieve
 from .scan import KNOWN_HITS, ScanConfig, ScanError, scan
 from .symfun import compute_omit
 from .rational import format_rational
-from .theta import MARGIN_N_MIN, case1_margin, check_theta_bounds
+from .theta import MARGIN_N_MIN, THETA_BOUND_X_MIN, case1_margin, check_theta_bounds
 
 USAGE_ERROR = 1
 UNEXPECTED_FINDING = 2
@@ -134,8 +134,12 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_theta(args) -> int:
-    if args.x_lo < 1429 or args.x_lo > args.x_hi:
-        print("theta bounds check requires 1429 <= x-lo <= x-hi", file=sys.stderr)
+    # Stated positively, so NaN and infinite bounds are refused before sieving.
+    if not THETA_BOUND_X_MIN <= args.x_lo <= args.x_hi < math.inf:
+        print(
+            f"theta bounds check requires finite {THETA_BOUND_X_MIN} <= x-lo <= x-hi",
+            file=sys.stderr,
+        )
         return USAGE_ERROR
     table = sieve(max(2, math.ceil(args.x_hi)))
     report = check_theta_bounds(args.x_lo, args.x_hi, table)

@@ -3,18 +3,17 @@
 The scan walks n upward with the rolling full-set row and tests every
 omit-one value at 1 <= i <= n, 1 <= k <= min(n-1, k_cap(n)) for
 integrality.  The row is the only state carried from one n to the next:
-the k = 1 seed omit(n, i, 1) = H_n - 1/i comes from the row's first
-entry, i = n is read off the previous row, and the k-recursion is
-``symfun.omit_sweep``.  Rows below ``n_start`` are advanced but not
-tested.
+``symfun.omit_sweep`` reads every omit-one value at n off it, i = n
+included, seeding k = 1 with omit(n, i, 1) = H_n - 1/i.  Rows below
+``n_start`` are advanced but not tested.
 
 The scan is one loop over n, and it owns the only row.  At each n it
 advances the row once and maps one stateless test over the workers:
 worker w of J tests the interleaved indices i = w+1, w+1+J, w+1+2J, ...
 (so i = n falls to worker (n-1) mod J), which spreads low and high
 indices evenly.  One worker runs in-process; more run in a process pool
-that lives only as long as the scan, and each receives the rows for n
-and n - 1 with its task.  A check that fails in a worker raises its
+that lives only as long as the scan, and each receives the one row for
+n with its task.  A check that fails in a worker raises its
 ``ScanError`` in the scan; when several fail, the first in worker order
 is reported.  After each n the loop rewrites the report if that n had
 hits and then, at a checkpoint n, saves the checkpoint: the last
@@ -44,7 +43,7 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .rational import format_rational, make_rational
+from .rational import format_rational
 from .symfun import EsfRow, esf_row_advance, esf_row_start, k_cap, omit_oracle, omit_sweep
 
 REPORT_HEADER = "n,i,k,numerator,denominator"
@@ -81,6 +80,13 @@ class ScanConfig:
             raise ScanError("checkpoint_every must be >= 1")
         if self.resume and not self.checkpoint_path:
             raise ScanError("resume requested without a checkpoint path")
+        if self.checkpoint_path and os.path.abspath(self.checkpoint_path) in {
+            os.path.abspath(self.report_path),
+            os.path.abspath(self.report_path + SUMMARY_SUFFIX),
+        }:
+            raise ScanError(
+                f"checkpoint path {self.checkpoint_path!r} is the report or its summary"
+            )
         if self.stop_after_n is not None and self.stop_after_n < self.n_start:
             raise ScanError(
                 f"stop_after_n={self.stop_after_n} is below n_start={self.n_start}"
@@ -124,36 +130,30 @@ def _identity_sampled(n: int, i: int, k: int) -> bool:
     return (n * 1000003 + i * 733 + k) % 1000 == 0
 
 
-def _test_indices(task: Tuple[EsfRow, EsfRow, int, int]) -> Tuple[List[IntegerHit], int, float]:
-    """Test i = w+1, w+1+jobs, ... <= n at n = row.n, given the rows for n and n - 1.
+def _test_indices(task: Tuple[EsfRow, int, int]) -> Tuple[List[IntegerHit], int, float]:
+    """Test i = w+1, w+1+jobs, ... <= n at n = row.n, given the row for n.
 
     Returns the integer hits in (i, k) order, the triples tested and the
     seconds spent.  It keeps no state from one call to the next, so it runs
-    the same in-process or in a pool worker.  i = n is read off the
-    previous row.
+    the same in-process or in a pool worker.
     """
-    row, prev, w, jobs = task
+    row, w, jobs = task
     started = time.perf_counter()
     n = row.n
-    harmonic = row.harmonic
     mk = min(n - 1, k_cap(n))
     crosscheck = n <= ORACLE_CROSSCHECK_MAX
     full = row.values
     hits: List[IntegerHit] = []
     checked = 0
     for i in range(w + 1, n + 1, jobs):
-        r_i = make_rational(1, i)
-        if i < n:
-            values = omit_sweep(harmonic - r_i, r_i, row, mk)
-        else:
-            values = prev.values[:mk]
+        values = omit_sweep(row, i, mk)
         for k, v in enumerate(values, 1):
             if v.denominator == 1:
                 hits.append(IntegerHit(n=n, i=i, k=k, value=format_rational(v)))
             if (
                 k >= 2
                 and _identity_sampled(n, i, k)
-                and full[k - 1] != v + values[k - 2] * r_i
+                and full[k - 1] != v + values[k - 2] / i
             ):
                 raise ScanError(f"identity self-check failed at ({n},{i},{k})")
             if crosscheck and v != omit_oracle(n, i, k):
@@ -244,13 +244,13 @@ def _scan_range(
     row = esf_row_start(k_cap(config.n_end))
     with _fan_out(jobs) as fan_out:
         for n in range(2, stop_n + 1):
-            prev, row = row, esf_row_advance(row)
+            row = esf_row_advance(row)
             if n < test_from:
                 continue
             if row.harmonic.denominator == 1:
                 raise ScanError(f"self-check failed: harmonic value integral at n={n}")
             found: List[IntegerHit] = []
-            tasks = [(row, prev, w, jobs) for w in range(jobs)]
+            tasks = [(row, w, jobs) for w in range(jobs)]
             for w, (w_hits, w_checked, w_busy) in enumerate(fan_out(_test_indices, tasks)):
                 found += w_hits
                 checked[w] += w_checked

@@ -13,14 +13,16 @@ The production path is the pair of recursions
     omit(n, i, k) = esf(n, k) - (1/i) * omit(n, i, k-1)
 
 driven by a rolling row of full-set values and seeded at k = 1 by
-omit(n, i, 1) = harmonic(n) - 1/i, the row's first entry minus 1/i; the
-k-recursion lives in :func:`omit_sweep` alone.  At i = n the shortcut
-omit(n, n, k) = esf(n-1, k) reads the previous row instead.  The k = 1
-column recursion omit(n, i, 1) = omit(n-1, i, 1) + 1/n is kept as an
-independent check of that seed.  Independent oracles (polynomial
-expansion for the full set, direct subset enumeration for omit-one) and
-the closed forms for n = k+1 and n = k+2 are provided for
-cross-checking; they share no code with the recursion path.
+omit(n, i, 1) = harmonic(n) - 1/i, the row's first entry minus 1/i.
+:func:`omit_sweep` is the one way to an omit-one value: it forms that
+seed and runs the k-recursion for every 1 <= i <= n, i = n included.
+The shortcut omit(n, n, k) = esf(n-1, k) is not a code path; it is an
+identity the tests check the sweep against.  The k = 1 column recursion
+omit(n, i, 1) = omit(n-1, i, 1) + 1/n is kept as an independent check
+of the seed.  Independent oracles (polynomial expansion for the full
+set, direct subset enumeration for omit-one) and the closed forms for
+n = k+1 and n = k+2 are provided for cross-checking; they share no code
+with the recursion path.
 """
 
 from __future__ import annotations
@@ -150,34 +152,26 @@ def omit_first_column_advance(prev: OmitFirstColumn, prev_row: EsfRow) -> OmitFi
     return OmitFirstColumn(n=n, values=tuple(vals))
 
 
-def omit_sweep(seed: Rational, r_i: Rational, row: EsfRow, k_max: int) -> List[Rational]:
-    """[omit(n, i, 1), ..., omit(n, i, k_max)] at n = row.n.
+def omit_sweep(row: EsfRow, i: int, k_max: int) -> List[Rational]:
+    """[omit(n, i, 1), ..., omit(n, i, k_max)] at n = row.n, for 1 <= i <= n.
 
-    ``seed`` is omit(n, i, 1) and ``r_i`` is 1/i; every further value is
+    The seed is omit(n, i, 1) = harmonic(n) - 1/i (at i = n that is
+    harmonic(n-1)); every further value is
     omit(n, i, k) = esf(n, k) - (1/i) * omit(n, i, k-1).  This is the one
-    copy of the k-recursion: the scan, the valuation check and the
-    value helpers below all call it.
+    copy of the k-recursion and the only way to an omit-one value: the
+    scan, the valuation check and the value helpers below all call it.
     """
+    if not 1 <= i <= row.n:
+        raise ValueError(f"omitted index i={i} out of range for n={row.n}")
     if not 1 <= k_max <= len(row.values):
         raise ValueError(f"k_max={k_max} outside stored row for n={row.n}")
-    acc = seed
+    r_i = make_rational(1, i)
+    acc = row.harmonic - r_i
     values = [acc]
     for e_k in row.values[1:k_max]:
         acc = e_k - acc * r_i
         values.append(acc)
     return values
-
-
-def omit_value(
-    n: int,
-    i: int,
-    k: int,
-    row: EsfRow,
-    col: OmitFirstColumn,
-    prev_row: Optional[EsfRow] = None,
-) -> Rational:
-    """omit(n, i, k): the last value of :func:`omit_values` up to k."""
-    return list(omit_values(n, i, k, row, col, prev_row))[-1][1]
 
 
 def omit_values(
@@ -188,26 +182,17 @@ def omit_values(
     col: OmitFirstColumn,
     prev_row: Optional[EsfRow] = None,
 ) -> Iterator[Tuple[int, Rational]]:
-    """Yield (k, omit(n, i, k)) for k = 1..k_max from one sweep.
+    """Yield (k, omit(n, i, k)) for k = 1..k_max from one :func:`omit_sweep`.
 
-    The row and column must be advanced to n.  For i = n the shortcut
-    omit(n, n, k) = esf(n-1, k) is used, which requires ``prev_row`` (the
-    row for n-1).  For i < n the values are accumulated from the column
-    entry through ascending k.
+    The row must be advanced to n.  ``col`` is only checked for n and
+    ``prev_row`` is not read; both stay for the positional signature the
+    benchmark calls.
     """
-    if not 1 <= i <= n:
-        raise ValueError(f"omitted index i={i} out of range for n={n}")
     if not 1 <= k_max < n:
         raise ValueError(f"k_max={k_max} out of range for n={n}")
     if row.n != n or col.n != n:
         raise ValueError(f"row (n={row.n}) or column (n={col.n}) not advanced to n={n}")
-    if i == n:
-        if prev_row is None or prev_row.n != n - 1:
-            raise ValueError("i = n requires the row for n-1")
-        for k in range(1, k_max + 1):
-            yield k, prev_row.value(k)
-        return
-    yield from enumerate(omit_sweep(col.value(i), make_rational(1, i), row, k_max), 1)
+    yield from enumerate(omit_sweep(row, i, k_max), 1)
 
 
 def esf_oracle(n: int, k: int, bound: int = ORACLE_BOUND_DEFAULT) -> Rational:
@@ -291,16 +276,8 @@ def compute_esf(n: int, k: int) -> Rational:
 
 def compute_omit(n: int, i: int, k: int) -> Rational:
     """omit(n, i, k) from scratch via the recursions (used by the CLI)."""
-    if i > n or i < 1:
-        raise ValueError(f"omitted index i={i} out of range for n={n}")
-    if k >= n or k < 1:
-        raise ValueError(f"subset size k={k} out of range for n={n}")
-    prev = None
-    row = None
-    for row in esf_rows(n, cap=max(k, 1)):
-        if row.n == n - 1:
-            prev = row
-    if i == n:
-        return prev.value(k)
-    r_i = make_rational(1, i)
-    return omit_sweep(row.harmonic - r_i, r_i, row, k)[-1]
+    if not (1 <= i <= n and 1 <= k < n):
+        raise ValueError(f"need 1 <= i <= n and 1 <= k < n, got n={n}, i={i}, k={k}")
+    for row in esf_rows(n, cap=k):
+        pass
+    return omit_sweep(row, i, k)[-1]

@@ -110,12 +110,12 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
     the next prime q).  Checking those two points at every prime in
     range, plus the interval endpoints, covers every real x in between.
     """
-    if x_lo < THETA_BOUND_X_MIN:
-        raise ValueError(f"bound only claimed for x >= {THETA_BOUND_X_MIN}, got x_lo={x_lo}")
-    if x_lo > x_hi:
-        raise ValueError(f"empty range [{x_lo}, {x_hi}]")
-    if x_hi > table.limit:
-        raise ValueError(f"x_hi={x_hi} beyond prime table limit {table.limit}")
+    # Stated positively, so a NaN bound fails it too.
+    if not THETA_BOUND_X_MIN <= x_lo <= x_hi <= table.limit:
+        raise ValueError(
+            f"need {THETA_BOUND_X_MIN} <= x_lo <= x_hi <= {table.limit} (the prime table"
+            f" limit), got [{x_lo}, {x_hi}]"
+        )
     bits = precision_bits()
     failures: List[Tuple[float, str]] = []
     min_slack = {"lower": None, "upper": None}

@@ -117,6 +117,15 @@ class TestScan:
             ScanConfig(n_start=2, n_end=4, resume=True).validate()
         with pytest.raises(ScanError, match="stop_after_n=50 is below n_start=100"):
             ScanConfig(n_start=100, n_end=200, stop_after_n=50).validate()
+        # The checkpoint must not overwrite the report or its summary.
+        with pytest.raises(ScanError, match="is the report or its summary"):
+            ScanConfig(
+                n_start=2, n_end=4, report_path="r.csv", checkpoint_path="./r.csv"
+            ).validate()
+        with pytest.raises(ScanError, match="is the report or its summary"):
+            ScanConfig(
+                n_start=2, n_end=4, report_path="r.csv", checkpoint_path="r.csv.summary.json"
+            ).validate()
 
 
 @pytest.mark.skipif(
@@ -355,9 +364,14 @@ class TestCli:
         code, text = run_cli(["theta", "--x-lo", "1429", "--x-hi", "2000"])
         assert code == 0 and "PASS" in text
 
-    def test_theta_domain_error(self, run_cli):
+    def test_theta_domain_error(self, run_cli, capsys):
         code, _ = run_cli(["theta", "--x-lo", "2", "--x-hi", "10"])
         assert code == 1
+        # Non-finite bounds are refused before sieving, with the domain message.
+        for x_lo, x_hi in (("1429", "inf"), ("nan", "2000"), ("1429", "nan")):
+            capsys.readouterr()
+            code, _ = run_cli(["theta", "--x-lo", x_lo, "--x-hi", x_hi])
+            assert code == 1 and "requires finite" in capsys.readouterr().err, (x_lo, x_hi)
 
     def test_margin(self, run_cli):
         code, text = run_cli(["margin", "50217"])

@@ -18,7 +18,6 @@ from esfscan.symfun import (
     omit_first_column_start,
     omit_oracle,
     omit_sweep,
-    omit_value,
     omit_values,
 )
 
@@ -154,8 +153,9 @@ class TestOmitRecursion:
     def test_omit_value_uses_state(self):
         for row, col, prev in rows_and_columns(4, cap=4):
             if row.n == 4:
-                assert omit_value(4, 1, 2, row, col) == make_rational(3, 8)
-                assert omit_value(4, 4, 2, row, col, prev_row=prev) == make_rational(1)
+                assert omit_sweep(row, 1, 2)[-1] == make_rational(3, 8)
+                assert omit_sweep(row, 4, 2)[-1] == make_rational(1)
+                assert list(omit_values(4, 4, 2, row, col))[-1] == (2, make_rational(1))
 
     def test_omit_values_stream(self):
         for row, col, prev in rows_and_columns(4, cap=4):
@@ -167,17 +167,17 @@ class TestOmitRecursion:
         for row, col, prev in rows_and_columns(5, cap=4):
             if row.n == 5:
                 with pytest.raises(ValueError):
-                    omit_value(5, 6, 1, row, col)
+                    list(omit_values(5, 6, 1, row, col))
                 with pytest.raises(ValueError):
-                    omit_value(5, 1, 5, row, col)
+                    list(omit_values(5, 1, 5, row, col))
                 with pytest.raises(ValueError):
-                    omit_value(5, 5, 2, row, col)  # prev_row missing
+                    omit_sweep(row, 0, 1)
+                # i = n needs no previous row.
+                assert list(omit_values(5, 5, 2, row, col))[-1] == (2, omit_oracle(5, 5, 2))
             if row.n == 4:
                 # A row and column for another n must not be relabelled.
                 with pytest.raises(ValueError):
                     list(omit_values(5, 2, 3, row, col))
-                with pytest.raises(ValueError):
-                    omit_value(5, 2, 3, row, col)
         with pytest.raises(ValueError):
             compute_omit(4, 1, 4)
         with pytest.raises(ValueError):
@@ -186,13 +186,13 @@ class TestOmitRecursion:
     def test_matches_oracle_exhaustively(self):
         # Every omitted index and every subset size, n up to the
         # enumeration bound used by the scan's online crosscheck; the
-        # kernel is also fed the column seed directly, i = n included.
+        # kernel is also called directly, i = n included.
         checked = 0
         for row, col, prev in rows_and_columns(12, cap=11):
             n = row.n
             for i in range(1, n + 1):
                 expected = [omit_oracle(n, i, k) for k in range(1, n)]
-                swept = omit_sweep(col.value(i), make_rational(1, i), row, n - 1)
+                swept = omit_sweep(row, i, n - 1)
                 assert swept == expected, (n, i)
                 for k, value in omit_values(n, i, n - 1, row, col, prev_row=prev):
                     assert value == expected[k - 1], (n, i, k)
@@ -251,11 +251,14 @@ class TestIdentities:
         # The recursion at i = n reproduces the previous full-set row.
         for row, col, prev in rows_and_columns(25, cap=k_cap(25)):
             n = row.n
+            mk = min(n - 1, k_cap(n))
             acc = col.value(n)
             assert acc == prev.value(1)
-            for k in range(2, min(n - 1, k_cap(n)) + 1):
+            for k in range(2, mk + 1):
                 acc = row.value(k) - acc / n
                 assert acc == prev.value(k), (n, k)
+            # The kernel satisfies the shortcut omit(n, n, k) = esf(n-1, k).
+            assert omit_sweep(row, n, mk) == list(prev.values[:mk]), n
 
     def test_bound_above_cutoff(self):
         # Above the scan cutoff the full-set values drop below 1, which

@@ -86,6 +86,10 @@ class TestThetaBounds:
             check_theta_bounds(1429, 6000, table_5000)
         with pytest.raises(ValueError):
             check_theta_bounds(2000, 1500, table_5000)
+        # A NaN bound fails the range check itself, not some later step.
+        for x_lo, x_hi in ((math.nan, 2000), (1429, math.nan)):
+            with pytest.raises(ValueError, match="x_lo <= x_hi"):
+                check_theta_bounds(x_lo, x_hi, table_5000)
 
 
 class TestMargin:
