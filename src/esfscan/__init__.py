@@ -11,7 +11,6 @@ from .rational import (
     make_rational,
     p_adic_valuation,
     parse_rational,
-    reciprocal,
 )
 from .symfun import (
     EsfRow,

@@ -60,11 +60,31 @@ def save_checkpoint(path: str, record: CheckpointRecord) -> None:
     lines = [f"ESF-CKPT v{FORMAT_VERSION} n_start={record.n_start} n={record.n} hits={len(hits)}"]
     lines.extend(f"HIT {h.n} {h.i} {h.k} {h.value}" for h in hits)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise CheckpointError(f"cannot save checkpoint {path}: {exc}") from exc
+
+
+def probe_checkpoint_path(path: str) -> None:
+    """Raise CheckpointError unless :func:`save_checkpoint` can write to path.
+
+    Only the temporary file a save renames into place is created, and it
+    is removed again, so no checkpoint appears before the first save.
+    """
+    if os.path.isdir(path):
+        raise CheckpointError(f"cannot save checkpoint {path}: it is a directory")
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8"):
+            pass
+        os.remove(tmp)
+    except OSError as exc:
+        raise CheckpointError(f"cannot save checkpoint {path}: {exc}") from exc
 
 
 def load_checkpoint(path: str) -> CheckpointRecord:
@@ -102,7 +122,7 @@ def load_checkpoint(path: str) -> CheckpointRecord:
             raise CheckpointError(f"checkpoint {path}: unexpected line {line!r}")
         hn, hi, hk = int(m.group(1)), int(m.group(2)), int(m.group(3))
         try:
-            value = parse_rational(m.group(4), strict=True)
+            value = parse_rational(m.group(4))
         except ValueError as exc:
             raise CheckpointError(f"checkpoint {path}: HIT {hn} {hi} {hk}: {exc}") from exc
         if value.denominator != 1:

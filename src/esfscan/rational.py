@@ -2,11 +2,10 @@
 
 All rational values in this package are kept in canonical form at all
 times: gcd(|numerator|, denominator) == 1, denominator >= 1, and zero is
-represented uniquely as 0/1.  The backing type is GMP's ``mpq`` when
-gmpy2 is importable (the intended production configuration; the scan
-workload is GMP-scale) and ``fractions.Fraction`` otherwise.  Both types
-canonicalize eagerly after every operation and keep the sign in the
-numerator, so the invariants above hold for free.
+represented uniquely as 0/1.  The backing type is the standard library's
+``fractions.Fraction``, which canonicalizes eagerly after every
+operation and keeps the sign in the numerator, so the invariants above
+hold for free.
 
 Values are immutable and safe to share across worker processes.
 """
@@ -14,38 +13,18 @@ Values are immutable and safe to share across worker processes.
 from __future__ import annotations
 
 import math
-from typing import Union
+from fractions import Fraction
 
-try:
-    import gmpy2
-    from gmpy2 import mpq as _rat
+BACKEND = "fractions"
 
-    BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _rat
-
-    gmpy2 = None
-    BACKEND = "fractions"
-
-Rational = _rat
-
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+Rational = Fraction
 
 
 def make_rational(num: int, den: int = 1) -> Rational:
     """Return num/den in canonical reduced form with positive denominator."""
     if den == 0:
         raise ValueError("rational with zero denominator")
-    return _rat(num, den)
-
-
-def reciprocal(q: Rational) -> Rational:
-    """Return 1/q; rejects q == 0."""
-    if q == 0:
-        raise ValueError("reciprocal of zero")
-    return 1 / q
+    return Fraction(num, den)
 
 
 def is_integer(q: Rational) -> bool:
@@ -54,45 +33,19 @@ def is_integer(q: Rational) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (valid for every size used here)."""
-    n = int(n)
-    if n < 2:
-        return False
-    if gmpy2 is not None:
-        # BPSW + Miller-Rabin; no known composite passes, and our inputs
-        # stay far below any conceivable counterexample anyway.
-        return bool(gmpy2.is_prime(n))
-    if n >= _MR_LIMIT:  # pragma: no cover - out of supported fallback range
-        raise ValueError(f"{n} exceeds the deterministic fallback prime test range")
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % small == 0:
-            return n == small
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Primality by trial division up to isqrt(n), exact for every n.
+
+    Its one caller checks sieve primes no larger than 50216, so at most
+    224 divisions.
+    """
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def int_valuation(m: Union[int, "gmpy2.mpz"], p: int) -> int:
+def int_valuation(m: int, p: int) -> int:
     """Exponent of the prime p in the nonzero integer m."""
     if m == 0:
         raise ValueError("valuation of zero is undefined")
-    if gmpy2 is not None:
-        _, e = gmpy2.remove(gmpy2.mpz(m), p)
-        return int(e)
-    m = abs(int(m))
+    m = abs(m)
     e = 0
     while m % p == 0:
         m //= p
@@ -125,12 +78,12 @@ def format_rational(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text: str, strict: bool = False) -> Rational:
+def parse_rational(text: str) -> Rational:
     """Parse the "num/den" wire form produced by :func:`format_rational`.
 
-    With ``strict`` the text must already be canonical (positive
-    denominator, gcd 1, zero spelled "0/1"); this is what checkpoint
-    loading uses to refuse corrupted state such as "6/4".
+    The text must already be canonical (positive denominator, gcd 1,
+    zero spelled "0/1"), so checkpoint loading refuses corrupted state
+    such as "6/4".
     """
     num_s, sep, den_s = text.partition("/")
     if not sep:
@@ -142,9 +95,8 @@ def parse_rational(text: str, strict: bool = False) -> Rational:
         raise ValueError(f"malformed rational {text!r}") from exc
     if den == 0:
         raise ValueError(f"malformed rational {text!r}: zero denominator")
-    if strict:
-        if den < 0:
-            raise ValueError(f"non-canonical rational {text!r}: negative denominator")
-        if math.gcd(abs(num), den) != 1:
-            raise ValueError(f"non-canonical rational {text!r}: not reduced")
-    return _rat(num, den)
+    if den < 0:
+        raise ValueError(f"non-canonical rational {text!r}: negative denominator")
+    if math.gcd(abs(num), den) != 1:
+        raise ValueError(f"non-canonical rational {text!r}: not reduced")
+    return Fraction(num, den)

@@ -1,7 +1,7 @@
 """Exhaustive exact-arithmetic integrality scan with checkpoint/resume.
 
 The scan walks n upward with the rolling full-set row and tests every
-omit-one value at 1 <= i <= n, 1 <= k <= min(n-1, k_cap(n)) for
+omit-one value at 1 <= i <= n, 1 <= k <= k_cap(n) for
 integrality.  The row is the only state carried from one n to the next:
 ``symfun.omit_sweep`` reads every omit-one value at n off it, i = n
 included, seeding k = 1 with omit(n, i, 1) = H_n - 1/i.  Rows below
@@ -41,6 +41,7 @@ from .checkpoint import (
     CheckpointRecord,
     IntegerHit,
     load_checkpoint,
+    probe_checkpoint_path,
     save_checkpoint,
 )
 from .rational import format_rational
@@ -122,7 +123,7 @@ def closed_form_triple_count(n_start: int, n_end: int) -> int:
     """Number of (n, i, k) triples the scan tests on [n_start, n_end]."""
     if n_start > n_end:
         return 0
-    return sum(n * min(n - 1, k_cap(n)) for n in range(max(2, n_start), n_end + 1))
+    return sum(n * k_cap(n) for n in range(max(2, n_start), n_end + 1))
 
 
 def _identity_sampled(n: int, i: int, k: int) -> bool:
@@ -140,7 +141,7 @@ def _test_indices(task: Tuple[EsfRow, int, int]) -> Tuple[List[IntegerHit], int,
     row, w, jobs = task
     started = time.perf_counter()
     n = row.n
-    mk = min(n - 1, k_cap(n))
+    mk = k_cap(n)
     crosscheck = n <= ORACLE_CROSSCHECK_MAX
     full = row.values
     hits: List[IntegerHit] = []
@@ -197,6 +198,8 @@ def scan(config: ScanConfig) -> ScanReport:
         base_n = record.n
         hits = list(record.hits)
 
+    if config.checkpoint_path:
+        probe_checkpoint_path(config.checkpoint_path)
     try:
         _write_report(config.report_path, hits)
     except OSError as exc:

@@ -22,7 +22,8 @@ omit(n, i, 1) = omit(n-1, i, 1) + 1/n is kept as an independent check
 of the seed.  Independent oracles (polynomial expansion for the full
 set, direct subset enumeration for omit-one) and the closed forms for
 n = k+1 and n = k+2 are provided for cross-checking; they share no code
-with the recursion path.
+with the recursion path.  The subset-size cap :func:`k_cap` is an
+interval bound at the one working precision of :mod:`esfscan.theta`.
 """
 
 from __future__ import annotations
@@ -39,11 +40,7 @@ from .rational import Rational, make_rational
 from .theta import working_precision
 
 # Enumeration oracles refuse larger n; they exist for correctness, not speed.
-ORACLE_BOUND_DEFAULT = 20
-
-# k_cap evaluations use a fixed interval precision, independent of the
-# configurable theta/margin precision, so cap decisions never drift.
-_K_CAP_PREC_BITS = 160
+ORACLE_BOUND = 20
 
 
 @lru_cache(maxsize=None)
@@ -51,13 +48,14 @@ def k_cap(n: int) -> int:
     """Largest subset size k that must be scanned at n.
 
     This is the largest integer below min(n, e*ln(n) + e), evaluated in
-    interval arithmetic.  Ties are resolved conservatively upward: if the
-    enclosure of e*ln(n) + e touches an integer, that integer is included
-    (scanning one extra k is cheap; missing one would break coverage).
+    interval arithmetic at the package's one working precision.  Ties are
+    resolved conservatively upward: if the enclosure of e*ln(n) + e
+    touches an integer, that integer is included (scanning one extra k is
+    cheap; missing one would break coverage).
     """
     if n < 2:
         raise ValueError("k_cap requires n >= 2")
-    with working_precision(_K_CAP_PREC_BITS):
+    with working_precision():
         bound = iv.e * iv.log(iv.mpf(n)) + iv.e
     # int() truncates the exact upper endpoint, which is positive: its floor.
     return min(n - 1, int(bound.b))
@@ -195,14 +193,14 @@ def omit_values(
     yield from enumerate(omit_sweep(row, i, k_max), 1)
 
 
-def esf_oracle(n: int, k: int, bound: int = ORACLE_BOUND_DEFAULT) -> Rational:
+def esf_oracle(n: int, k: int) -> Rational:
     """esf(n, k) by expanding prod_{j=1..n} (x + 1/j) and reading one coefficient.
 
     An independent implementation path: no rolling rows, no cap, the full
-    polynomial is materialized.  Guarded by ``bound`` against misuse.
+    polynomial is materialized.  Refuses n above ``ORACLE_BOUND``.
     """
-    if n < 1 or n > bound:
-        raise ValueError(f"oracle bound exceeded: n={n} > {bound}")
+    if n < 1 or n > ORACLE_BOUND:
+        raise ValueError(f"oracle bound exceeded: n={n} > {ORACLE_BOUND}")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     coeffs = [make_rational(1)]
@@ -216,10 +214,10 @@ def esf_oracle(n: int, k: int, bound: int = ORACLE_BOUND_DEFAULT) -> Rational:
     return coeffs[n - k]
 
 
-def omit_oracle(n: int, i: int, k: int, bound: int = ORACLE_BOUND_DEFAULT) -> Rational:
+def omit_oracle(n: int, i: int, k: int) -> Rational:
     """omit(n, i, k) by direct enumeration of k-subsets of {1..n} minus {i}."""
-    if n < 2 or n > bound:
-        raise ValueError(f"oracle bound exceeded: n={n} (bound {bound})")
+    if n < 2 or n > ORACLE_BOUND:
+        raise ValueError(f"oracle bound exceeded: n={n} (bound {ORACLE_BOUND})")
     if not 1 <= i <= n:
         raise ValueError(f"omitted index i={i} out of range for n={n}")
     if not 1 <= k < n:

@@ -7,19 +7,17 @@ directed rounding and explicit error accounting in one mechanism.  A
 check passes only when it holds between opposing interval endpoints, so
 a reported pass is rigorous at the stated precision.
 
-Working precision defaults to 96 bits and can be overridden through the
-ESF_PRECISION_BITS environment variable; a fixed number of guard bits is
-added internally.  Every function here, and ``symfun.k_cap``, runs in
-one precision scope, :func:`working_precision`, which sets the interval
-and the point precision together and restores both.  Endpoint
-conversions, slacks and midpoints are therefore formed at the working
-precision, never at whatever global mpmath precision the caller has set.
-No other code in the package sets an mpmath precision.
+There is one working precision, ``PRECISION_BITS`` = 128 mantissa
+bits, and every report states it.  Every function here, and
+``symfun.k_cap``, runs in one precision scope, :func:`working_precision`,
+which sets the interval and the point precision together and restores
+both.  Endpoint conversions, slacks and midpoints are therefore formed
+at the working precision, never at whatever global mpmath precision the
+caller has set.  No other code in the package sets an mpmath precision.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
@@ -28,8 +26,7 @@ from mpmath import iv, mp, mpf
 
 from .primes import PrimeTable
 
-DEFAULT_PRECISION_BITS = 96
-_GUARD_BITS = 32
+PRECISION_BITS = 128
 
 # The two-sided bound verified by check_theta_bounds:
 #   x - 0.334 x / ln x  <  theta(x)  <  x + 0.021 x / ln x   for x >= 1429.
@@ -43,21 +40,15 @@ MARGIN_N_MIN = 50217
 
 
 def precision_bits() -> int:
-    """Configured verification precision (mantissa bits)."""
-    raw = os.environ.get("ESF_PRECISION_BITS")
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    bits = int(raw)
-    if bits < 80:
-        raise ValueError(f"ESF_PRECISION_BITS must be >= 80, got {bits}")
-    return bits
+    """The working precision in mantissa bits."""
+    return PRECISION_BITS
 
 
 @contextmanager
-def working_precision(bits: int) -> Iterator[None]:
-    """Run the body with ``iv.prec`` and ``mp.prec`` both at ``bits``."""
+def working_precision() -> Iterator[None]:
+    """Run the body with ``iv.prec`` and ``mp.prec`` both at ``PRECISION_BITS``."""
     saved = iv.prec, mp.prec
-    iv.prec = mp.prec = bits
+    iv.prec = mp.prec = PRECISION_BITS
     try:
         yield
     finally:
@@ -75,12 +66,11 @@ def theta(x: float, table: PrimeTable) -> ThetaValue:
     """Sum of ln p over primes p <= x, with a rigorous error bound."""
     if x > table.limit:
         raise ValueError(f"x={x} beyond prime table limit {table.limit}")
-    bits = precision_bits()
-    with working_precision(bits + _GUARD_BITS):
+    with working_precision():
         acc = sum((iv.log(iv.mpf(p)) for p in table.primes[: table.index_gt(x)]), iv.mpf(0))
         mid = (mpf(acc.a) + mpf(acc.b)) / 2
         width = float(mpf(acc.delta.b))
-    return ThetaValue(value=mid, error_bound=width, precision_bits=bits)
+    return ThetaValue(value=mid, error_bound=width, precision_bits=PRECISION_BITS)
 
 
 @dataclass(frozen=True)
@@ -116,11 +106,10 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
             f"need {THETA_BOUND_X_MIN} <= x_lo <= x_hi <= {table.limit} (the prime table"
             f" limit), got [{x_lo}, {x_hi}]"
         )
-    bits = precision_bits()
     failures: List[Tuple[float, str]] = []
     min_slack = {"lower": None, "upper": None}
     checks = 0
-    with working_precision(bits + _GUARD_BITS):
+    with working_precision():
         c_lo = iv.mpf(_LOWER_COEFF[0]) / _LOWER_COEFF[1]
         c_hi = iv.mpf(_UPPER_COEFF[0]) / _UPPER_COEFF[1]
 
@@ -156,7 +145,7 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
     return ThetaBoundsReport(
         x_lo=float(x_lo),
         x_hi=float(x_hi),
-        precision_bits=bits,
+        precision_bits=PRECISION_BITS,
         primes_checked=len(in_range),
         checks=checks,
         min_lower_slack=float(min_slack["lower"]),
@@ -191,7 +180,7 @@ class MarginReport:
 
     @property
     def margin(self) -> mpf:
-        with working_precision(self.precision_bits + _GUARD_BITS):
+        with working_precision():
             return (self.margin_lo + self.margin_hi) / 2
 
     @property
@@ -208,8 +197,7 @@ def case1_margin(n: int) -> MarginReport:
     """Evaluate the analytic margin at n >= 50217 in interval arithmetic."""
     if n < MARGIN_N_MIN:
         raise ValueError(f"margin check applies for n >= {MARGIN_N_MIN}, got {n}")
-    bits = precision_bits()
-    with working_precision(bits + _GUARD_BITS):
+    with working_precision():
         n_iv = iv.mpf(n)
         b = iv.e * iv.log(n_iv) + iv.e
         c355 = iv.mpf(355) / 1000
@@ -227,5 +215,5 @@ def case1_margin(n: int) -> MarginReport:
         aux_product_ok=aux_product,
         aux_square_ok=aux_square,
         window_in_theta_domain=in_domain,
-        precision_bits=bits,
+        precision_bits=PRECISION_BITS,
     )

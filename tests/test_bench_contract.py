@@ -1,8 +1,9 @@
 """The names and calls the benchmark under ``perfbench/`` relies on.
 
-The benchmark rebinds module globals of esfscan by name and calls the
-public recursion API directly.  A rename or a removed import in ``src/``
-would otherwise show up only as crashed benchmark repetitions.
+The benchmark rebinds module globals of esfscan by name, calls the
+public recursion API directly and records a few names in every result.
+A rename or a removed import in ``src/`` would otherwise show up only as
+crashed benchmark repetitions.
 """
 
 import importlib
@@ -36,3 +37,12 @@ def test_symfun_probes_run(monkeypatch):
     probes = workloads.symfun_probes(40)
     assert set(probes) == {"symfun.advance_s", "symfun.omit_us_per_triple"}
     assert all(value >= 0 for value in probes.values())
+
+
+def test_recorded_names_resolve():
+    # rep.py records these in every result, outside the traced hooks.
+    import esfscan
+
+    assert isinstance(esfscan.BACKEND, str)
+    assert isinstance(esfscan.precision_bits(), int)
+    assert esfscan.k_cap.cache_info().misses >= 0

@@ -2,6 +2,7 @@ import importlib
 import json
 import multiprocessing
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,27 @@ class TestScan:
     def test_unwritable_report_is_startup_failure(self, tmp_path):
         with pytest.raises(ScanError, match="not writable"):
             scan(ScanConfig(n_start=2, n_end=10, report_path=str(tmp_path / "no" / "dir.csv")))
+
+    def test_unwritable_checkpoint_is_startup_failure(self, tmp_path, monkeypatch):
+        scan_module = importlib.import_module("esfscan.scan")
+        tested = []
+
+        def fail_at_first_n(task):
+            tested.append(task[0].n)
+            raise ScanError("stop")
+
+        monkeypatch.setattr(scan_module, "_test_indices", fail_at_first_n)
+        for bad in (tmp_path / "no" / "dir.ckpt", tmp_path):
+            with pytest.raises(CheckpointError, match=re.escape(f"cannot save checkpoint {bad}")):
+                run_scan(tmp_path, "r", n_start=2, n_end=30, checkpoint_every=10,
+                         checkpoint_path=str(bad))
+        assert tested == []
+        # A writable path is probed without leaving a checkpoint below n_start.
+        ckpt = tmp_path / "r.ckpt"
+        with pytest.raises(ScanError, match="stop"):
+            run_scan(tmp_path, "r", n_start=2, n_end=30, checkpoint_path=str(ckpt))
+        assert tested == [2]
+        assert sorted(os.listdir(tmp_path)) == ["r.csv"]
 
     def test_config_validation(self):
         with pytest.raises(ScanError):
@@ -214,6 +236,11 @@ class TestCheckpoint:
     def test_missing_file_refused(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             load_checkpoint(str(tmp_path / "absent.ckpt"))
+
+    def test_unwritable_path_refused(self, tmp_path):
+        record = CheckpointRecord(n_start=2, n=20, hits=KNOWN)
+        with pytest.raises(CheckpointError, match="cannot save"):
+            save_checkpoint(str(tmp_path / "no" / "state.ckpt"), record)
 
 
 class TestResume:
@@ -405,6 +432,18 @@ class TestCli:
         assert code == 0
         code, _ = run_cli(["scan", "--n-start", "2", "--resume", *common])
         assert code == 1
+
+    def test_bad_checkpoint_path_exits_1(self, run_cli, tmp_path, capsys):
+        ckpt = str(tmp_path / "no" / "ck")
+        code, text = run_cli(
+            [
+                "scan", "--n-start", "2", "--n-end", "30", "--checkpoint-every", "10",
+                "--checkpoint", ckpt, "--out", str(tmp_path / "o.csv"),
+            ]
+        )
+        assert code == 1 and text == ""
+        assert ckpt in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_resume_stopping_before_checkpoint_exits_1(self, run_cli, tmp_path):
         ckpt = str(tmp_path / "to60.ckpt")

@@ -78,10 +78,10 @@ class TestKCap:
         assert k_cap(9) == 8
 
     def test_matches_high_precision_floor(self):
-        with mp.workdps(60):
-            for n in (2, 5, 9, 57, 500, 2000, 13542, 50216):
-                bound = mp.e * mp.log(n) + mp.e
-                assert k_cap(n) == min(n - 1, int(mp.floor(bound)))
+        # Every n the scan and the certificates use, against a 256-bit floor.
+        with mp.workprec(256):
+            floors = {n: int(mp.floor(mp.e * mp.log(n) + mp.e)) for n in range(2, 50217)}
+        assert [n for n, f in floors.items() if k_cap(n) != min(n - 1, f)] == []
 
     def test_nondecreasing(self):
         caps = [k_cap(n) for n in range(2, 400)]

@@ -4,7 +4,7 @@ import pytest
 from mpmath import iv, mp
 
 from esfscan.theta import (
-    DEFAULT_PRECISION_BITS,
+    PRECISION_BITS,
     case1_margin,
     check_theta_bounds,
     precision_bits,
@@ -52,7 +52,7 @@ class TestThetaBounds:
     def test_passes_midrange(self, table_50216):
         report = check_theta_bounds(1429, 20000, table_50216)
         assert report.passed
-        assert report.precision_bits == DEFAULT_PRECISION_BITS
+        assert report.precision_bits == PRECISION_BITS
         # The tightest point of the whole claim sits just above the
         # domain edge: theta(1429) against the lower curve at 1433.
         assert report.min_lower_slack == pytest.approx(0.2084392, rel=1e-4)
@@ -123,23 +123,14 @@ class TestWorkingPrecision:
     def test_sets_and_restores_both(self):
         before = mp.prec, iv.prec
         with pytest.raises(RuntimeError):
-            with working_precision(200):
-                assert mp.prec == iv.prec == 200
+            with working_precision():
+                assert mp.prec == iv.prec == PRECISION_BITS
                 raise RuntimeError
         assert (mp.prec, iv.prec) == before
 
 
 class TestPrecisionConfig:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("ESF_PRECISION_BITS", raising=False)
-        assert precision_bits() == DEFAULT_PRECISION_BITS
-
-    def test_override(self, monkeypatch):
-        monkeypatch.setenv("ESF_PRECISION_BITS", "128")
-        assert precision_bits() == 128
-        assert case1_margin(50217).precision_bits == 128
-
-    def test_too_low_rejected(self, monkeypatch):
-        monkeypatch.setenv("ESF_PRECISION_BITS", "64")
-        with pytest.raises(ValueError):
-            precision_bits()
+    def test_default(self):
+        # Every report states the precision it ran at.
+        assert precision_bits() == PRECISION_BITS == 128
+        assert case1_margin(50217).precision_bits == PRECISION_BITS
