@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .checkpoint import write_lines
 from .primes import PrimeTable
 # make_rational is unused here, but the benchmark's tracer rebinds it by this name.
 from .rational import make_rational, p_adic_valuation
@@ -142,10 +143,8 @@ def certificate_lines(result: CertifyResult) -> Iterable[str]:
 
 
 def write_certificates(path: str, result: CertifyResult) -> None:
-    """Write the certificate list file (UTF-8, LF line endings)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in certificate_lines(result):
-            fh.write(line + "\n")
+    """Write the certificate list file (UTF-8, LF line endings) atomically."""
+    write_lines(path, certificate_lines(result))
 
 
 @dataclass(frozen=True)
@@ -196,12 +195,7 @@ def sample_certified_pairs(
     table: PrimeTable, n_max: int, count: int, seed: int = 2024
 ) -> List[Tuple[int, int]]:
     """Deterministically sample ``count`` certified (n, k) pairs with n <= n_max."""
-    certified = [
-        (n, k)
-        for n in range(2, n_max + 1)
-        for k in range(1, k_cap(n) + 1)
-        if find_certificate(n, k, table) is not None
-    ]
+    certified = [(c.n, c.k) for c in certify_range(2, n_max, table).certificates]
     if len(certified) < count:
         raise ValueError(f"only {len(certified)} certified pairs below {n_max}")
     rng = random.Random(seed)

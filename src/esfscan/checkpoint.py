@@ -10,27 +10,29 @@ checkpoints are human-auditable and diff-able:
     ESF-CKPT v2 n_start=<a> n=<n> hits=<h>
     HIT <n> <i> <k> <num>/<den>      h lines, sorted by (n, i, k)
 
-Files are written to a temporary name and atomically renamed, so a
-half-written checkpoint can never replace a good one.  Loading validates
-the version (v1 files, which also carried the row and the k = 1 column,
-are refused), the hit count against the header, and each hit's range,
-canonical form (a value like "2/2" is refused) and integrality;
-corruption fails loudly instead of silently restarting the scan.
+Every output of the package goes through :func:`write_lines`, so a
+reader sees the old file or the whole new one.  Loading validates the
+version (v1 files, which also carried the row and the k = 1 column, are
+refused), n_start <= n, the hit count, each hit's range, canonical form
+("2/2" is refused) and integrality, and that hits strictly increase in
+(n, i, k); corruption fails loudly instead of silently restarting the scan.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
-from .rational import format_rational, parse_rational
+from .rational import format_rational, is_integer, parse_rational
 
 FORMAT_VERSION = 2
 _VERSION_RE = re.compile(r"^ESF-CKPT v(\d+)\b")
 _HEADER_RE = re.compile(r"^ESF-CKPT v2 n_start=(\d+) n=(\d+) hits=(\d+)$")
 _HIT_RE = re.compile(r"^HIT (\d+) (\d+) (\d+) (\S+)$")
+TMP_SUFFIX = ".tmp"  # write_lines writes here first
 
 
 class CheckpointError(RuntimeError):
@@ -55,34 +57,37 @@ class CheckpointRecord:
     hits: Tuple[IntegerHit, ...]
 
 
-def save_checkpoint(path: str, record: CheckpointRecord) -> None:
-    hits = sorted(record.hits, key=IntegerHit.sort_key)
-    lines = [f"ESF-CKPT v{FORMAT_VERSION} n_start={record.n_start} n={record.n} hits={len(hits)}"]
-    lines.extend(f"HIT {h.n} {h.i} {h.k} {h.value}" for h in hits)
-    tmp = path + ".tmp"
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Stream the lines, LF-terminated and never joined, to ``path + ".tmp"``,
+    fsync it and rename it over path; on failure path is left as it was."""
+    tmp = path + TMP_SUFFIX
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except OSError as exc:
-        raise CheckpointError(f"cannot save checkpoint {path}: {exc}") from exc
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
-def probe_checkpoint_path(path: str) -> None:
-    """Raise CheckpointError unless :func:`save_checkpoint` can write to path.
-
-    Only the temporary file a save renames into place is created, and it
-    is removed again, so no checkpoint appears before the first save.
-    """
+def probe_output(path: str) -> None:
+    """Raise OSError unless :func:`write_lines` can write path now; only its
+    temporary file is created, and removed again."""
     if os.path.isdir(path):
-        raise CheckpointError(f"cannot save checkpoint {path}: it is a directory")
-    tmp = path + ".tmp"
+        raise IsADirectoryError(f"{path!r} is a directory")
+    open(path + TMP_SUFFIX, "w").close()
+    os.remove(path + TMP_SUFFIX)
+
+
+def save_checkpoint(path: str, record: CheckpointRecord) -> None:
+    hits = sorted(record.hits, key=IntegerHit.sort_key)
+    header = f"ESF-CKPT v{FORMAT_VERSION} n_start={record.n_start} n={record.n} hits={len(hits)}"
     try:
-        with open(tmp, "w", encoding="utf-8"):
-            pass
-        os.remove(tmp)
+        write_lines(path, [header] + [f"HIT {h.n} {h.i} {h.k} {h.value}" for h in hits])
     except OSError as exc:
         raise CheckpointError(f"cannot save checkpoint {path}: {exc}") from exc
 
@@ -106,7 +111,7 @@ def load_checkpoint(path: str) -> CheckpointRecord:
     if not m:
         raise CheckpointError(f"checkpoint {path}: bad header {lines[0]!r}")
     n_start, n, count = int(m.group(1)), int(m.group(2)), int(m.group(3))
-    if n_start < 2 or n < 2:
+    if not 2 <= n_start <= n:
         raise CheckpointError(f"checkpoint {path}: implausible header n_start={n_start} n={n}")
 
     body = [line for line in lines[1:] if line.strip()]
@@ -125,12 +130,13 @@ def load_checkpoint(path: str) -> CheckpointRecord:
             value = parse_rational(m.group(4))
         except ValueError as exc:
             raise CheckpointError(f"checkpoint {path}: HIT {hn} {hi} {hk}: {exc}") from exc
-        if value.denominator != 1:
+        if not is_integer(value):
             raise CheckpointError(f"checkpoint {path}: HIT {hn} {hi} {hk}: value not an integer")
         if not (n_start <= hn <= n and 1 <= hi <= hn and 1 <= hk < hn):
             raise CheckpointError(f"checkpoint {path}: implausible hit {line!r}")
-        hits.append(IntegerHit(n=hn, i=hi, k=hk, value=format_rational(value)))
+        hit = IntegerHit(n=hn, i=hi, k=hk, value=format_rational(value))
+        if hits and hit.sort_key() <= hits[-1].sort_key():
+            raise CheckpointError(f"checkpoint {path}: hit {line!r} repeats or is out of order")
+        hits.append(hit)
 
-    return CheckpointRecord(
-        n_start=n_start, n=n, hits=tuple(sorted(hits, key=IntegerHit.sort_key))
-    )
+    return CheckpointRecord(n_start=n_start, n=n, hits=tuple(hits))

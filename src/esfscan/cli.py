@@ -1,9 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 = success with expected findings; 1 = usage or domain
-error; 2 = unexpected finding (an integer hit outside the two known
-ones, a certificate gap, or a failed bound check), so CI can alarm on
-the interesting case specifically.
+error, or an output path found unwritable before any work; 2 = unexpected
+finding (an integer hit outside the two known ones, a certificate gap, or
+a failed bound check), so CI can alarm on the interesting case specifically.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from mpmath import mpf
 from mpmath.libmp import to_rational
 
 from .certify import certify_range, write_certificates
-from .checkpoint import CheckpointError
+from .checkpoint import CheckpointError, probe_output
 from .primes import sieve
 from .scan import KNOWN_HITS, ScanConfig, ScanError, scan
 from .symfun import compute_omit
@@ -113,6 +113,8 @@ def _cmd_certify(args) -> int:
     if not 2 <= args.n_start <= args.n_end:
         print("need 2 <= n-start <= n-end", file=sys.stderr)
         return USAGE_ERROR
+    if args.out:
+        probe_output(args.out)
     result = certify_range(args.n_start, args.n_end, sieve(args.n_end))
     if args.out:
         write_certificates(args.out, result)
@@ -186,7 +188,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ScanError, CheckpointError, ValueError) as exc:
+    except (ScanError, CheckpointError, ValueError, OSError) as exc:
         print(f"esfscan {args.command}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

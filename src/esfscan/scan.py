@@ -17,7 +17,10 @@ n with its task.  A check that fails in a worker raises its
 ``ScanError`` in the scan; when several fail, the first in worker order
 is reported.  After each n the loop rewrites the report if that n had
 hits and then, at a checkpoint n, saves the checkpoint: the last
-completed n and the hits so far.  A resume is a fresh start at the next
+completed n and the hits so far.  The checkpoint, the report and its
+``.summary.json`` are each written atomically by
+``checkpoint.write_lines``, and all three paths are checked before the
+first n is tested.  A resume is a fresh start at the next
 n.  The hit report is kept in (n, i, k) order, so its bytes are a pure
 function of the configured range, independent of worker count, of
 checkpoint cadence, and of interrupt/resume history.
@@ -34,17 +37,20 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .checkpoint import (
+    TMP_SUFFIX,
+    CheckpointError,
     CheckpointRecord,
     IntegerHit,
     load_checkpoint,
-    probe_checkpoint_path,
+    probe_output,
     save_checkpoint,
+    write_lines,
 )
-from .rational import format_rational
+from .rational import format_rational, is_integer
 from .symfun import EsfRow, esf_row_advance, esf_row_start, k_cap, omit_oracle, omit_sweep
 
 REPORT_HEADER = "n,i,k,numerator,denominator"
@@ -81,12 +87,13 @@ class ScanConfig:
             raise ScanError("checkpoint_every must be >= 1")
         if self.resume and not self.checkpoint_path:
             raise ScanError("resume requested without a checkpoint path")
-        if self.checkpoint_path and os.path.abspath(self.checkpoint_path) in {
-            os.path.abspath(self.report_path),
-            os.path.abspath(self.report_path + SUMMARY_SUFFIX),
-        }:
+        # No output, nor the temporary file it is written through, may be another.
+        outputs = (self.checkpoint_path, self.report_path, self.report_path + SUMMARY_SUFFIX)
+        written = [os.path.abspath(p + tmp) for p in outputs if p for tmp in ("", TMP_SUFFIX)]
+        if len(set(written)) < len(written):
             raise ScanError(
-                f"checkpoint path {self.checkpoint_path!r} is the report or its summary"
+                f"checkpoint path {self.checkpoint_path!r} is the report or its summary,"
+                " or shares a temporary file with one"
             )
         if self.stop_after_n is not None and self.stop_after_n < self.n_start:
             raise ScanError(
@@ -149,7 +156,7 @@ def _test_indices(task: Tuple[EsfRow, int, int]) -> Tuple[List[IntegerHit], int,
     for i in range(w + 1, n + 1, jobs):
         values = omit_sweep(row, i, mk)
         for k, v in enumerate(values, 1):
-            if v.denominator == 1:
+            if is_integer(v):
                 hits.append(IntegerHit(n=n, i=i, k=k, value=format_rational(v)))
             if (
                 k >= 2
@@ -164,13 +171,8 @@ def _test_indices(task: Tuple[EsfRow, int, int]) -> Tuple[List[IntegerHit], int,
 
 
 def _write_report(path: str, hits: Sequence[IntegerHit]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(REPORT_HEADER + "\n")
-        for h in hits:
-            num, den = h.value.split("/")
-            fh.write(f"{h.n},{h.i},{h.k},{num},{den}\n")
-        fh.flush()
-        os.fsync(fh.fileno())
+    rows = (f"{h.n},{h.i},{h.k},{h.value.replace('/', ',')}" for h in hits)
+    write_lines(path, [REPORT_HEADER, *rows])
 
 
 def scan(config: ScanConfig) -> ScanReport:
@@ -198,12 +200,19 @@ def scan(config: ScanConfig) -> ScanReport:
         base_n = record.n
         hits = list(record.hits)
 
-    if config.checkpoint_path:
-        probe_checkpoint_path(config.checkpoint_path)
-    try:
-        _write_report(config.report_path, hits)
-    except OSError as exc:
-        raise ScanError(f"report path {config.report_path!r} is not writable: {exc}") from exc
+    # Every output is checked before any n is tested.
+    ckpt, summary_path = config.checkpoint_path, config.report_path + SUMMARY_SUFFIX
+    if ckpt:
+        try:
+            probe_output(ckpt)
+        except OSError as exc:
+            raise CheckpointError(f"cannot save checkpoint {ckpt}: {exc}") from exc
+    for what, path in (("report", config.report_path), ("summary", summary_path)):
+        try:
+            probe_output(path)
+        except OSError as exc:
+            raise ScanError(f"{what} path {path!r} is not writable: {exc}") from exc
+    _write_report(config.report_path, hits)
 
     # A resume is a fresh start after the checkpointed n.
     test_from = max(config.n_start, base_n + 1)
@@ -217,7 +226,6 @@ def scan(config: ScanConfig) -> ScanReport:
             f"triple count mismatch: checked {actual}, closed form says {expected_exec}"
         )
 
-    summary_path = config.report_path + SUMMARY_SUFFIX
     report = ScanReport(
         n_start=config.n_start,
         n_end=config.n_end,
@@ -250,7 +258,7 @@ def _scan_range(
             row = esf_row_advance(row)
             if n < test_from:
                 continue
-            if row.harmonic.denominator == 1:
+            if is_integer(row.harmonic):
                 raise ScanError(f"self-check failed: harmonic value integral at n={n}")
             found: List[IntegerHit] = []
             tasks = [(row, w, jobs) for w in range(jobs)]
@@ -292,23 +300,12 @@ def _write_summary(report: ScanReport) -> None:
         "n_end": report.n_end,
         "n_completed": report.n_completed,
         "triples_checked": report.triples_checked,
-        "integer_hits": [
-            {"n": h.n, "i": h.i, "k": h.k, "value": h.value} for h in report.hits
-        ],
+        "integer_hits": [asdict(h) for h in report.hits],
         "elapsed_seconds": report.elapsed_seconds,
-        "workers": [
-            {
-                "worker": s.worker,
-                "triples_checked": s.triples_checked,
-                "busy_seconds": s.busy_seconds,
-            }
-            for s in report.worker_stats
-        ],
+        "workers": [asdict(s) for s in report.worker_stats],
         "checkpoint_lineage": [
             {"path": path, "resumed_at_n": n} for path, n in report.checkpoint_lineage
         ],
         "report_csv": report.report_path,
     }
-    with open(report.summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lines(report.summary_path, json.dumps(payload, indent=2, sort_keys=True).split("\n"))

@@ -8,6 +8,7 @@ crashed benchmark repetitions.
 
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -46,3 +47,17 @@ def test_recorded_names_resolve():
     assert isinstance(esfscan.BACKEND, str)
     assert isinstance(esfscan.precision_bits(), int)
     assert esfscan.k_cap.cache_info().misses >= 0
+
+
+def test_selftest_passes():
+    # Every benchmark leg at toy sizes, traced and with wrong expected
+    # outputs, so a leg the library broke fails here and not in a benchmark run.
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        cwd=PERFBENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "selftest passed" in done.stdout

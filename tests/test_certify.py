@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import os
 
 import pytest
 
@@ -144,6 +145,18 @@ class TestCertifyRange:
         assert path.read_text(encoding="utf-8").splitlines() == [
             f"GAP\t{n}\t{k}" for n in range(2, 6) for k in range(1, n)
         ]
+
+    def test_failed_write_leaves_old_file(self, table_5000, tmp_path):
+        path = tmp_path / "certs.tsv"
+        write_certificates(str(path), certify_range(25, 26, table_5000))
+        before = path.read_bytes()
+        good = certify_range(100, 110, table_5000)
+        # Rendering the fourth certificate raises, after three lines are out.
+        broken = dataclasses.replace(good, certificates=(*good.certificates[:3], None))
+        with pytest.raises(AttributeError):
+            write_certificates(str(path), broken)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["certs.tsv"]
 
 
 class TestValuationProperty:

@@ -128,6 +128,17 @@ class TestScan:
         assert tested == [2]
         assert sorted(os.listdir(tmp_path)) == ["r.csv"]
 
+    def test_summary_directory_is_startup_failure(self, tmp_path, monkeypatch):
+        scan_module = importlib.import_module("esfscan.scan")
+        tested = []
+        monkeypatch.setattr(scan_module, "_test_indices", tested.append)
+        summary = tmp_path / "r.csv.summary.json"
+        summary.mkdir()
+        with pytest.raises(ScanError, match=re.escape(f"summary path {str(summary)!r}")):
+            run_scan(tmp_path, "r", n_start=2, n_end=30)
+        assert tested == []
+        assert sorted(os.listdir(tmp_path)) == ["r.csv.summary.json"]
+
     def test_config_validation(self):
         with pytest.raises(ScanError):
             ScanConfig(n_start=1, n_end=10).validate()
@@ -148,6 +159,13 @@ class TestScan:
             ScanConfig(
                 n_start=2, n_end=4, report_path="r.csv", checkpoint_path="r.csv.summary.json"
             ).validate()
+        # Each output is written through <path>.tmp, which must be no other output.
+        for report, ckpt in (("r.csv", "r.csv.tmp"), ("r.csv", "r.csv.summary.json.tmp"),
+                             ("c.tmp", "c")):
+            with pytest.raises(ScanError, match="shares a temporary file"):
+                ScanConfig(
+                    n_start=2, n_end=4, report_path=report, checkpoint_path=ckpt
+                ).validate()
 
 
 @pytest.mark.skipif(
@@ -232,6 +250,23 @@ class TestCheckpoint:
 
         with pytest.raises(CheckpointError):
             load_checkpoint(self._write_variant(tmp_path, mutate))
+
+    @pytest.mark.parametrize(
+        "text, why",
+        [
+            # The count matches the header, but no save writes a hit twice.
+            ("ESF-CKPT v2 n_start=2 n=12 hits=2\nHIT 2 2 1 1/1\nHIT 2 2 1 1/1\n", "repeats"),
+            ("ESF-CKPT v2 n_start=2 n=12 hits=2\nHIT 4 4 2 1/1\nHIT 2 2 1 1/1\n", "order"),
+            # No save records a completed n below the scan's n_start.
+            ("ESF-CKPT v2 n_start=100 n=50 hits=0\n", "implausible header"),
+        ],
+        ids=["repeated-hit", "hits-out-of-order", "n-below-n_start"],
+    )
+    def test_unsaveable_file_refused(self, tmp_path, text, why):
+        path = tmp_path / "state.ckpt"
+        path.write_text(text)
+        with pytest.raises(CheckpointError, match=why):
+            load_checkpoint(str(path))
 
     def test_missing_file_refused(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
@@ -444,6 +479,20 @@ class TestCli:
         assert code == 1 and text == ""
         assert ckpt in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_certify_unwritable_out_refused_before_work(
+        self, run_cli, tmp_path, capsys, monkeypatch, where
+    ):
+        cli_module = importlib.import_module("esfscan.cli")
+        called = []
+        monkeypatch.setattr(cli_module, "sieve", lambda *args: called.append("sieve"))
+        monkeypatch.setattr(cli_module, "certify_range", lambda *args: called.append("certify"))
+        out = str(tmp_path / "no" / "c.tsv" if where == "missing directory" else tmp_path)
+        code, text = run_cli(["certify", "--n-start", "13543", "--n-end", "13550", "--out", out])
+        assert (code, text) == (1, "")
+        assert out in capsys.readouterr().err
+        assert called == []
 
     def test_resume_stopping_before_checkpoint_exits_1(self, run_cli, tmp_path):
         ckpt = str(tmp_path / "to60.ckpt")
