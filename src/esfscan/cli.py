@@ -90,10 +90,13 @@ def _cmd_scan(args) -> int:
         stop_after_n=args.stop_after_n,
     )
     report = scan(config)
+    exact = sum(s.triples_exact for s in report.worker_stats)
+    witnessed = sum(s.triples_witnessed for s in report.worker_stats)
     print(
         f"scanned n in [{report.n_start}, {report.n_completed}]: "
-        f"{report.triples_checked} triples checked, {len(report.hits)} integer hit(s), "
-        f"{report.elapsed_seconds:.2f}s"
+        f"{report.triples_checked} triples checked "
+        f"(this run: {witnessed} settled by a witness, {exact} evaluated exactly), "
+        f"{len(report.hits)} integer hit(s), {report.elapsed_seconds:.2f}s"
     )
     for h in report.hits:
         marker = "known" if (h.n, h.i, h.k) in KNOWN_HITS else "UNEXPECTED"

@@ -1,34 +1,32 @@
-"""Exhaustive exact-arithmetic integrality scan with checkpoint/resume.
+"""Exhaustive integrality scan with checkpoint/resume.
 
-The scan walks n upward with the rolling full-set row and tests every
-omit-one value at 1 <= i <= n, 1 <= k <= k_cap(n) for
-integrality.  The row is the only state carried from one n to the next:
-``symfun.omit_sweep`` reads every omit-one value at n off it, i = n
-included, seeding k = 1 with omit(n, i, 1) = H_n - 1/i.  Rows below
-``n_start`` are advanced but not tested.
+The scan tests every omit-one value at 1 <= i <= n, 1 <= k <= k_cap(n)
+for integrality, one n at a time, and carries nothing from one n to the
+next but the hits.  Its hot path is the p-adic witness kernel of
+:mod:`esfscan.witness`: a prime p > sqrt(n) that shows
+v_p(omit(n, i, k)) < 0 settles the triple in mod-p arithmetic, with no
+exact value.  Only the triples no witness settles (none above n = 27),
+and at n <= ORACLE_CROSSCHECK_MAX every triple, are evaluated exactly,
+through ``symfun.omit_sweep`` on a full-set row the worker builds for
+that n; a hit is reported only from an exact value.  Up to
+ORACLE_CROSSCHECK_MAX every exact value is also compared with subset
+enumeration and every witness with the exact valuation.
 
-The scan is one loop over n, and it owns the only row.  At each n it
-advances the row once and maps one stateless test over the workers:
-worker w of J tests the interleaved indices i = w+1, w+1+J, w+1+2J, ...
-(so i = n falls to worker (n-1) mod J), which spreads low and high
-indices evenly.  One worker runs in-process; more run in a process pool
-that lives only as long as the scan, and each receives the one row for
-n with its task.  A check that fails in a worker raises its
-``ScanError`` in the scan; when several fail, the first in worker order
-is reported.  After each n the loop rewrites the report if that n had
-hits and then, at a checkpoint n, saves the checkpoint: the last
-completed n and the hits so far.  The checkpoint, the report and its
-``.summary.json`` are each written atomically by
+The scan is one loop over n.  At each n it maps one stateless test over
+the workers: worker w of J tests the interleaved indices
+i = w+1, w+1+J, w+1+2J, ... (so i = n falls to worker (n-1) mod J).
+One worker runs in-process; more run in a process pool that lives only
+as long as the scan, and a task is just (n, w, J).  A check that fails
+in a worker raises its ``ScanError`` in the scan; when several fail, the
+first in worker order is reported.  After each n the loop rewrites the
+report if that n had hits and then, at a checkpoint n, saves the
+checkpoint: the last completed n and the hits so far.  The checkpoint,
+the report and its ``.summary.json`` are each written atomically by
 ``checkpoint.write_lines``, and all three paths are checked before the
-first n is tested.  A resume is a fresh start at the next
-n.  The hit report is kept in (n, i, k) order, so its bytes are a pure
-function of the configured range, independent of worker count, of
-checkpoint cadence, and of interrupt/resume history.
-
-Every test is performed on the exact reduced value.  The residue of a
-rational modulo a prime cannot show that it is not an integer, but the
-coefficient that leads its p-adic valuation can; no such witness sieve
-exists yet, so there is no pre-filter.
+first n is tested.  A resume is a fresh start at the next n.  The hit
+report is kept in (n, i, k) order, so its bytes are a pure function of
+the configured range, independent of worker count, of checkpoint
+cadence, and of interrupt/resume history.
 """
 
 from __future__ import annotations
@@ -38,7 +36,8 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .checkpoint import (
     TMP_SUFFIX,
@@ -50,8 +49,9 @@ from .checkpoint import (
     save_checkpoint,
     write_lines,
 )
-from .rational import format_rational, is_integer
-from .symfun import EsfRow, esf_row_advance, esf_row_start, k_cap, omit_oracle, omit_sweep
+from .rational import format_rational, is_integer, p_adic_valuation
+from .symfun import esf_rows, k_cap, omit_oracle, omit_sweep
+from .witness import Claim, unsettled
 
 REPORT_HEADER = "n,i,k,numerator,denominator"
 SUMMARY_SUFFIX = ".summary.json"
@@ -61,6 +61,9 @@ KNOWN_HITS = ((2, 2, 1), (4, 4, 2))
 
 # Every triple with n at most this is re-checked against subset enumeration.
 ORACLE_CROSSCHECK_MAX = 12
+
+# Consecutive n whose tasks a pool worker receives in one message.
+CHUNK_N = 32
 
 
 class ScanError(RuntimeError):
@@ -105,7 +108,13 @@ class ScanConfig:
 class WorkerStat:
     worker: int
     triples_checked: int
+    triples_exact: int  # evaluated exactly
     busy_seconds: float
+
+    @property
+    def triples_witnessed(self) -> int:
+        """Triples settled by a p-adic witness alone, with no exact value."""
+        return self.triples_checked - self.triples_exact
 
 
 @dataclass(frozen=True)
@@ -138,36 +147,69 @@ def _identity_sampled(n: int, i: int, k: int) -> bool:
     return (n * 1000003 + i * 733 + k) % 1000 == 0
 
 
-def _test_indices(task: Tuple[EsfRow, int, int]) -> Tuple[List[IntegerHit], int, float]:
-    """Test i = w+1, w+1+jobs, ... <= n at n = row.n, given the row for n.
+def _test_indices(task: Tuple[int, int, int]) -> Tuple[List[IntegerHit], int, int, float]:
+    """Test i = w+1, w+1+jobs, ... <= n at n, for every k <= k_cap(n).
 
-    Returns the integer hits in (i, k) order, the triples tested and the
-    seconds spent.  It keeps no state from one call to the next, so it runs
-    the same in-process or in a pool worker.
+    The witness kernel settles what it can mod p; the rest, and at
+    n <= ORACLE_CROSSCHECK_MAX every triple, is evaluated exactly.
+    Returns the integer hits in (i, k) order, the triples tested, those
+    evaluated exactly and the seconds spent.  It keeps no state from one
+    call to the next, so it runs the same in-process or in a pool worker.
     """
-    row, w, jobs = task
+    n, w, jobs = task
     started = time.perf_counter()
-    n = row.n
     mk = k_cap(n)
-    crosscheck = n <= ORACLE_CROSSCHECK_MAX
+    indices = range(w + 1, n + 1, jobs)
+    claims: Optional[List[Claim]] = [] if n <= ORACLE_CROSSCHECK_MAX else None
+    left = unsettled(n, indices, mk, claims)
+    exact: Dict[int, Sequence[int]] = {}  # i -> the k to evaluate exactly
+    if claims is not None:
+        exact = {i: range(1, mk + 1) for i in indices}
+    else:
+        for i, k in left:
+            exact.setdefault(i, []).append(k)
+    hits = _evaluate(n, mk, exact, claims) if exact else []
+    n_exact = sum(len(ks) for ks in exact.values())
+    return hits, mk * len(indices), n_exact, time.perf_counter() - started
+
+
+def _evaluate(
+    n: int, mk: int, exact: Dict[int, Sequence[int]], claims: Optional[List[Claim]]
+) -> List[IntegerHit]:
+    """The integer hits among the exact values of omit(n, i, k), k in exact[i].
+
+    The values come from one full-set row for n.  A sampled identity is
+    checked on each; when ``claims`` is given (n <= ORACLE_CROSSCHECK_MAX),
+    each value is also compared with subset enumeration and each witness
+    claim with the exact valuation.
+    """
+    for row in esf_rows(n, mk):
+        pass
+    if is_integer(row.harmonic):
+        raise ScanError(f"self-check failed: harmonic value integral at n={n}")
     full = row.values
+    values = {i: omit_sweep(row, i, ks[-1]) for i, ks in exact.items()}
     hits: List[IntegerHit] = []
-    checked = 0
-    for i in range(w + 1, n + 1, jobs):
-        values = omit_sweep(row, i, mk)
-        for k, v in enumerate(values, 1):
+    for i, ks in exact.items():
+        for k in ks:
+            v = values[i][k - 1]
             if is_integer(v):
                 hits.append(IntegerHit(n=n, i=i, k=k, value=format_rational(v)))
             if (
                 k >= 2
                 and _identity_sampled(n, i, k)
-                and full[k - 1] != v + values[k - 2] / i
+                and full[k - 1] != v + values[i][k - 2] / i
             ):
                 raise ScanError(f"identity self-check failed at ({n},{i},{k})")
-            if crosscheck and v != omit_oracle(n, i, k):
+            if claims is not None and v != omit_oracle(n, i, k):
                 raise ScanError(f"recursion disagrees with enumeration at ({n},{i},{k})")
-        checked += mk
-    return hits, checked, time.perf_counter() - started
+    for i, k, p, j in claims or ():
+        if p_adic_valuation(values[i][k - 1], p) != -j:
+            raise ScanError(
+                f"witness p={p} claims v_p = -{j} at ({n},{i},{k}),"
+                " which the exact value refutes"
+            )
+    return hits
 
 
 def _write_report(path: str, hits: Sequence[IntegerHit]) -> None:
@@ -251,20 +293,16 @@ def _scan_range(
     checkpoint is saved if n is a checkpoint n, so a checkpoint never
     claims an n whose hits are not on disk.
     """
-    checked, busy = [0] * jobs, [0.0] * jobs
-    row = esf_row_start(k_cap(config.n_end))
+    checked, exact, busy = [0] * jobs, [0] * jobs, [0.0] * jobs
+    tasks = ((n, w, jobs) for n in range(test_from, stop_n + 1) for w in range(jobs))
     with _fan_out(jobs) as fan_out:
-        for n in range(2, stop_n + 1):
-            row = esf_row_advance(row)
-            if n < test_from:
-                continue
-            if is_integer(row.harmonic):
-                raise ScanError(f"self-check failed: harmonic value integral at n={n}")
+        results = fan_out(_test_indices, tasks)
+        for n in range(test_from, stop_n + 1):
             found: List[IntegerHit] = []
-            tasks = [(row, w, jobs) for w in range(jobs)]
-            for w, (w_hits, w_checked, w_busy) in enumerate(fan_out(_test_indices, tasks)):
+            for w, (w_hits, w_checked, w_exact, w_busy) in zip(range(jobs), results):
                 found += w_hits
                 checked[w] += w_checked
+                exact[w] += w_exact
                 busy[w] += w_busy
             if found:
                 hits += sorted(found, key=IntegerHit.sort_key)
@@ -272,13 +310,16 @@ def _scan_range(
             if config.checkpoint_path and (n % config.checkpoint_every == 0 or n == stop_n):
                 record = CheckpointRecord(n_start=config.n_start, n=n, hits=tuple(hits))
                 save_checkpoint(config.checkpoint_path, record)
-    return tuple(WorkerStat(w, checked[w], busy[w]) for w in range(jobs))
+    return tuple(WorkerStat(w, checked[w], exact[w], busy[w]) for w in range(jobs))
 
 
 @contextmanager
 def _fan_out(jobs: int) -> Iterator[Callable]:
-    """The map that runs one n's tasks: the builtin one for a single worker,
-    else that of a process pool which ends with the scan."""
+    """A map that yields the task results in task order: the builtin one
+    for a single worker, else that of a process pool which ends with the
+    scan.  The pool sends the tasks of CHUNK_N consecutive n to a worker
+    as one message; chunks not yet started when the scan ends early are
+    cancelled."""
     if jobs == 1:
         yield map
         return
@@ -288,9 +329,11 @@ def _fan_out(jobs: int) -> Iterator[Callable]:
 
     with ProcessPoolExecutor(jobs) as pool:
         try:
-            yield pool.map
+            yield partial(pool.map, chunksize=CHUNK_N * jobs)
         except BrokenProcessPool as exc:
             raise ScanError(f"a scan worker exited without reporting: {exc}") from exc
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def _write_summary(report: ScanReport) -> None:
@@ -302,7 +345,9 @@ def _write_summary(report: ScanReport) -> None:
         "triples_checked": report.triples_checked,
         "integer_hits": [asdict(h) for h in report.hits],
         "elapsed_seconds": report.elapsed_seconds,
-        "workers": [asdict(s) for s in report.worker_stats],
+        "workers": [
+            {**asdict(s), "triples_witnessed": s.triples_witnessed} for s in report.worker_stats
+        ],
         "checkpoint_lineage": [
             {"path": path, "resumed_at_n": n} for path, n in report.checkpoint_lineage
         ],

@@ -112,7 +112,7 @@ class TestScan:
         tested = []
 
         def fail_at_first_n(task):
-            tested.append(task[0].n)
+            tested.append(task[0])
             raise ScanError("stop")
 
         monkeypatch.setattr(scan_module, "_test_indices", fail_at_first_n)
@@ -319,8 +319,8 @@ class TestResume:
         assert resumed == expected
 
     def test_resume_with_larger_n_end(self, tmp_path):
-        # The first run ends at 60, so it never built the rows k_cap(120)
-        # wide that the continuation needs; the resume rebuilds them.
+        # The first run ends at 60, where k_cap is smaller than at 120; the
+        # continuation tests the wider k range of its own n.
         _, expected = run_scan(tmp_path, "full", n_start=2, n_end=120)
         ckpt = str(tmp_path / "short.ckpt")
         run_scan(tmp_path, "s", n_start=2, n_end=60, checkpoint_path=ckpt)

@@ -1,0 +1,159 @@
+import importlib
+import json
+import math
+import multiprocessing
+
+import pytest
+
+from esfscan.rational import is_prime, p_adic_valuation
+from esfscan.scan import ScanConfig, ScanError, scan
+from esfscan.symfun import esf_rows, k_cap, omit_sweep
+from esfscan.witness import settle_at, unsettled, witness_primes
+
+
+def primes_above_root(n):
+    return [p for p in range(math.isqrt(n) + 1, n + 1) if is_prime(p)]
+
+
+def all_pairs(n):
+    return {k: range(1, n + 1) for k in range(1, k_cap(n) + 1)}
+
+
+def lemma_by_definition(n, i, k, p):
+    """J if the lemma's condition holds at (n, i, k, p), else 0, straight
+    from the sets A_i and R_i with no Wilson reduction or shortcut."""
+
+    def esf_mod(xs, t):
+        e = [1] + [0] * t
+        for x in xs:
+            for j in range(t, 0, -1):
+                e[j] = (e[j] + pow(x, -1, p) * e[j - 1]) % p
+        return e[t]
+
+    multiples = [a for a in range(1, n // p + 1) if p * a != i]
+    units = [r for r in range(1, n + 1) if r % p and r != i]
+    j = min(k, len(multiples))
+    if j < 1 or k - j > p - 2:
+        return 0
+    return j if esf_mod(multiples, j) * esf_mod(units, k - j) % p else 0
+
+
+def test_every_claim_on_2_to_120_matches_exact_valuation():
+    # Every prime in (sqrt n, n], not only the ones the scan reaches.
+    claims_checked = 0
+    for row in esf_rows(120, k_cap(120)):
+        n = row.n
+        if n < 2:
+            continue
+        values = {i: omit_sweep(row, i, k_cap(n)) for i in range(1, n + 1)}
+        for p in primes_above_root(n):
+            claims = []
+            settle_at(n, p, all_pairs(n), claims)
+            for i, k, q, j in claims:
+                assert q == p and j >= 1
+                assert p_adic_valuation(values[i][k - 1], p) == -j, (n, i, k, p, j)
+            claims_checked += len(claims)
+    assert claims_checked > 10**6
+
+
+def test_kernel_makes_exactly_the_claims_of_the_lemma():
+    for n in range(2, 31):
+        for p in primes_above_root(n):
+            claims = []
+            left = settle_at(n, p, all_pairs(n), claims)
+            made = {(i, k): j for i, k, _, j in claims}
+            assert len(made) == len(claims)
+            for k in range(1, k_cap(n) + 1):
+                for i in range(1, n + 1):
+                    want = lemma_by_definition(n, i, k, p)
+                    assert made.get((i, k), 0) == want, (n, i, k, p)
+                    assert (i in left.get(k, ())) == (not want), (n, i, k, p)
+
+
+def test_unsettled_only_below_37():
+    left = [(n, i, k) for n in range(2, 2001) for i, k in unsettled(n, range(1, n + 1), k_cap(n))]
+    assert len(left) == 214
+    assert max(n for n, _, _ in left) <= 36
+    # Each one really has no witness at any prime in (sqrt n, n].
+    for n, i, k in left[::7]:
+        assert all(not lemma_by_definition(n, i, k, p) for p in primes_above_root(n))
+
+
+def test_interleaved_indices_split_the_unsettled_set():
+    for n in (5, 12, 20, 27):
+        whole = unsettled(n, range(1, n + 1), k_cap(n))
+        parts = [unsettled(n, range(w + 1, n + 1, 3), k_cap(n)) for w in range(3)]
+        assert sorted(sum(parts, [])) == whole
+
+
+def test_witness_primes_order():
+    n = 13542
+    order = list(witness_primes(n, k_cap(n)))
+    assert sorted(order) == primes_above_root(n)
+    split = n // k_cap(n)
+    big = [p for p in order if p <= split]
+    assert order[: len(big)] == sorted(big, reverse=True)
+    assert order[len(big) :] == sorted(order[len(big) :])
+    assert all(n // p >= k_cap(n) for p in big)
+    assert list(witness_primes(10, k_cap(10))) == [5, 7]
+
+
+def test_settle_at_refuses_small_prime():
+    with pytest.raises(ValueError, match="not in"):
+        settle_at(25, 5, all_pairs(25))
+
+
+def test_scan_to_3000_with_two_jobs_finds_only_known_hits(tmp_path):
+    out = tmp_path / "r.csv"
+    report = scan(ScanConfig(n_start=2, n_end=3000, jobs=2, report_path=str(out)))
+    assert out.read_bytes() == b"n,i,k,numerator,denominator\n2,2,1,1,1\n4,4,2,1,1\n"
+    assert [(h.n, h.i, h.k) for h in report.hits] == [(2, 2, 1), (4, 4, 2)]
+    summary = json.loads((tmp_path / "r.csv.summary.json").read_text())
+    exact = sum(w["triples_exact"] for w in summary["workers"])
+    witnessed = sum(w["triples_witnessed"] for w in summary["workers"])
+    assert exact + witnessed == report.triples_checked
+    # Every triple up to n = 12 and the leftovers of 13..36, nothing above.
+    small = sum(n * k_cap(n) for n in range(2, 13))
+    assert small < exact < small + 214
+
+
+def test_exact_count_is_zero_above_36(tmp_path):
+    report = scan(ScanConfig(n_start=37, n_end=80, jobs=2, report_path=str(tmp_path / "r.csv")))
+    assert [s.triples_exact for s in report.worker_stats] == [0, 0]
+    report = scan(ScanConfig(n_start=2, n_end=12, report_path=str(tmp_path / "s.csv")))
+    (stat,) = report.worker_stats
+    assert stat.triples_exact == stat.triples_checked and stat.triples_witnessed == 0
+
+
+def _false_witness(kernel):
+    """The kernel, plus one false claim at k = 1 for the first index."""
+
+    def patched(n, indices, k_max, claims=None):
+        left = kernel(n, indices, k_max, claims)
+        if claims is not None:
+            claims.append((indices[0], 1, 2, 5))
+        return left
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "jobs",
+    [
+        1,
+        pytest.param(
+            2,
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="the patched kernel reaches the workers only when they are forked",
+            ),
+        ),
+    ],
+)
+def test_false_witness_is_caught_online(tmp_path, monkeypatch, jobs):
+    scan_module = importlib.import_module("esfscan.scan")
+    monkeypatch.setattr(scan_module, "unsettled", _false_witness(scan_module.unsettled))
+    # omit(2, 1, 1) = 1/2 has v_2 = -1, not -5; the first worker reports it.
+    with pytest.raises(ScanError, match=r"witness p=2 claims v_p = -5 at \(2,1,1\)"):
+        scan(ScanConfig(n_start=2, n_end=12, jobs=jobs, report_path=str(tmp_path / "r.csv")))
+    assert multiprocessing.active_children() == []
