@@ -2,10 +2,9 @@
 
 A checkpoint records how far a scan got: the scan's ``n_start``, the
 last fully completed n, and every integer hit found so far.  Nothing else
-is needed to resume.  The scan carries no state from one n to the next
-except the full-set row, and the scan rebuilds the row once, from n = 1,
-at about the cost of testing a single n.  The format is UTF-8 text so
-checkpoints are human-auditable and diff-able:
+is needed to resume: the scan carries nothing from one n to the next
+but the hits, so a resume is a fresh start at the next n.  The format is
+UTF-8 text so checkpoints are human-auditable and diff-able:
 
     ESF-CKPT v2 n_start=<a> n=<n> hits=<h>
     HIT <n> <i> <k> <num>/<den>      h lines, sorted by (n, i, k)

@@ -35,8 +35,9 @@ def is_integer(q: Rational) -> bool:
 def is_prime(n: int) -> bool:
     """Primality by trial division up to isqrt(n), exact for every n.
 
-    Its one caller checks sieve primes no larger than 50216, so at most
-    224 divisions.
+    ``witness.witness_primes`` calls it on every candidate in (sqrt(n), n]
+    of each scanned n, and ``p_adic_valuation`` on its prime; a call on m
+    makes at most isqrt(m) - 1 divisions (115 at the scan's top n, 13542).
     """
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 

@@ -8,20 +8,21 @@ v_p(omit(n, i, k)) < 0 settles the triple in mod-p arithmetic, with no
 exact value.  Only the triples no witness settles (none above n = 27),
 and at n <= ORACLE_CROSSCHECK_MAX every triple, are evaluated exactly,
 through ``symfun.omit_sweep`` on a full-set row the worker builds for
-that n; a hit is reported only from an exact value.  Up to
-ORACLE_CROSSCHECK_MAX every exact value is also compared with subset
-enumeration and every witness with the exact valuation.
+that n; a hit is reported only from an exact value, and every exact
+value passes an identity self-check.  Up to ORACLE_CROSSCHECK_MAX every
+exact value is also compared with subset enumeration and every witness
+with the exact valuation.
 
-The scan is one loop over n.  At each n it maps one stateless test over
-the workers: worker w of J tests the interleaved indices
-i = w+1, w+1+J, w+1+2J, ... (so i = n falls to worker (n-1) mod J).
-One worker runs in-process; more run in a process pool that lives only
-as long as the scan, and a task is just (n, w, J).  A check that fails
-in a worker raises its ``ScanError`` in the scan; when several fail, the
-first in worker order is reported.  After each n the loop rewrites the
-report if that n had hits and then, at a checkpoint n, saves the
-checkpoint: the last completed n and the hits so far.  The checkpoint,
-the report and its ``.summary.json`` are each written atomically by
+The scan is one loop over n, and one n, with all of its indices, is one
+stateless task.  One worker runs in-process; more run in a process pool
+that lives only as long as the scan and sends each worker CHUNK_N
+consecutive n in one message, so every per-(n, p) witness table is built
+once.  Results come back in n order.  A check that fails in a worker
+raises its ``ScanError`` in the scan; when several n fail, the first of
+them in n order is reported.  After each n the loop rewrites the report
+if that n had hits and then, at a checkpoint n, saves the checkpoint:
+the last completed n and the hits so far.  The checkpoint, the report
+and its ``.summary.json`` are each written atomically by
 ``checkpoint.write_lines``, and all three paths are checked before the
 first n is tested.  A resume is a fresh start at the next n.  The hit
 report is kept in (n, i, k) order, so its bytes are a pure function of
@@ -62,7 +63,7 @@ KNOWN_HITS = ((2, 2, 1), (4, 4, 2))
 # Every triple with n at most this is re-checked against subset enumeration.
 ORACLE_CROSSCHECK_MAX = 12
 
-# Consecutive n whose tasks a pool worker receives in one message.
+# Consecutive n a pool worker receives in one message.
 CHUNK_N = 32
 
 
@@ -142,35 +143,29 @@ def closed_form_triple_count(n_start: int, n_end: int) -> int:
     return sum(n * k_cap(n) for n in range(max(2, n_start), n_end + 1))
 
 
-def _identity_sampled(n: int, i: int, k: int) -> bool:
-    # Deterministic 1-in-1000 selection for the online identity self-check.
-    return (n * 1000003 + i * 733 + k) % 1000 == 0
-
-
-def _test_indices(task: Tuple[int, int, int]) -> Tuple[List[IntegerHit], int, int, float]:
-    """Test i = w+1, w+1+jobs, ... <= n at n, for every k <= k_cap(n).
+def _test_n(n: int) -> Tuple[List[IntegerHit], int, int, float, int]:
+    """Test every i <= n at n, for every k <= k_cap(n).
 
     The witness kernel settles what it can mod p; the rest, and at
     n <= ORACLE_CROSSCHECK_MAX every triple, is evaluated exactly.
     Returns the integer hits in (i, k) order, the triples tested, those
-    evaluated exactly and the seconds spent.  It keeps no state from one
-    call to the next, so it runs the same in-process or in a pool worker.
+    evaluated exactly, the seconds spent and the id of the process that
+    ran it.  It keeps no state from one call to the next, so it runs the
+    same in-process or in a pool worker.
     """
-    n, w, jobs = task
     started = time.perf_counter()
     mk = k_cap(n)
-    indices = range(w + 1, n + 1, jobs)
     claims: Optional[List[Claim]] = [] if n <= ORACLE_CROSSCHECK_MAX else None
-    left = unsettled(n, indices, mk, claims)
+    left = unsettled(n, mk, claims)
     exact: Dict[int, Sequence[int]] = {}  # i -> the k to evaluate exactly
     if claims is not None:
-        exact = {i: range(1, mk + 1) for i in indices}
+        exact = {i: range(1, mk + 1) for i in range(1, n + 1)}
     else:
         for i, k in left:
             exact.setdefault(i, []).append(k)
     hits = _evaluate(n, mk, exact, claims) if exact else []
     n_exact = sum(len(ks) for ks in exact.values())
-    return hits, mk * len(indices), n_exact, time.perf_counter() - started
+    return hits, mk * n, n_exact, time.perf_counter() - started, os.getpid()
 
 
 def _evaluate(
@@ -178,10 +173,11 @@ def _evaluate(
 ) -> List[IntegerHit]:
     """The integer hits among the exact values of omit(n, i, k), k in exact[i].
 
-    The values come from one full-set row for n.  A sampled identity is
-    checked on each; when ``claims`` is given (n <= ORACLE_CROSSCHECK_MAX),
-    each value is also compared with subset enumeration and each witness
-    claim with the exact valuation.
+    The values come from one full-set row for n.  Each value at k >= 2 is
+    checked against esf(n, k) = omit(n, i, k) + omit(n, i, k-1)/i; when
+    ``claims`` is given (n <= ORACLE_CROSSCHECK_MAX), each value is also
+    compared with subset enumeration and each witness claim with the
+    exact valuation.
     """
     for row in esf_rows(n, mk):
         pass
@@ -195,11 +191,7 @@ def _evaluate(
             v = values[i][k - 1]
             if is_integer(v):
                 hits.append(IntegerHit(n=n, i=i, k=k, value=format_rational(v)))
-            if (
-                k >= 2
-                and _identity_sampled(n, i, k)
-                and full[k - 1] != v + values[i][k - 2] / i
-            ):
+            if k >= 2 and full[k - 1] != v + values[i][k - 2] / i:
                 raise ScanError(f"identity self-check failed at ({n},{i},{k})")
             if claims is not None and v != omit_oracle(n, i, k):
                 raise ScanError(f"recursion disagrees with enumeration at ({n},{i},{k})")
@@ -258,8 +250,7 @@ def scan(config: ScanConfig) -> ScanReport:
 
     # A resume is a fresh start after the checkpointed n.
     test_from = max(config.n_start, base_n + 1)
-    jobs = min(config.jobs, config.n_end)
-    stats = _scan_range(config, test_from, stop_n, jobs, hits) if test_from <= stop_n else ()
+    stats = _scan_range(config, test_from, stop_n, hits) if test_from <= stop_n else ()
 
     actual = sum(s.triples_checked for s in stats)
     expected_exec = closed_form_triple_count(test_from, stop_n)
@@ -285,40 +276,36 @@ def scan(config: ScanConfig) -> ScanReport:
 
 
 def _scan_range(
-    config: ScanConfig, test_from: int, stop_n: int, jobs: int, hits: List[IntegerHit]
+    config: ScanConfig, test_from: int, stop_n: int, hits: List[IntegerHit]
 ) -> Tuple[WorkerStat, ...]:
     """Test every n in [test_from, stop_n], appending its hits to ``hits``.
 
     After each n the report is rewritten if that n had hits, and then the
     checkpoint is saved if n is a checkpoint n, so a checkpoint never
-    claims an n whose hits are not on disk.
+    claims an n whose hits are not on disk.  Returns one WorkerStat per
+    process that tested at least one n, numbered in order of its first
+    result.  No more workers are started than there are n.
     """
-    checked, exact, busy = [0] * jobs, [0] * jobs, [0.0] * jobs
-    tasks = ((n, w, jobs) for n in range(test_from, stop_n + 1) for w in range(jobs))
-    with _fan_out(jobs) as fan_out:
-        results = fan_out(_test_indices, tasks)
-        for n in range(test_from, stop_n + 1):
-            found: List[IntegerHit] = []
-            for w, (w_hits, w_checked, w_exact, w_busy) in zip(range(jobs), results):
-                found += w_hits
-                checked[w] += w_checked
-                exact[w] += w_exact
-                busy[w] += w_busy
+    counts: Dict[int, List[Tuple[int, int, float]]] = {}  # process id -> per-n counts
+    span = range(test_from, stop_n + 1)
+    with _fan_out(min(config.jobs, len(span))) as fan_out:
+        for n, (found, checked, exact, busy, pid) in zip(span, fan_out(_test_n, span)):
+            counts.setdefault(pid, []).append((checked, exact, busy))
             if found:
-                hits += sorted(found, key=IntegerHit.sort_key)
+                hits += found
                 _write_report(config.report_path, hits)
             if config.checkpoint_path and (n % config.checkpoint_every == 0 or n == stop_n):
                 record = CheckpointRecord(n_start=config.n_start, n=n, hits=tuple(hits))
                 save_checkpoint(config.checkpoint_path, record)
-    return tuple(WorkerStat(w, checked[w], exact[w], busy[w]) for w in range(jobs))
+    return tuple(WorkerStat(w, *map(sum, zip(*c))) for w, c in enumerate(counts.values()))
 
 
 @contextmanager
 def _fan_out(jobs: int) -> Iterator[Callable]:
     """A map that yields the task results in task order: the builtin one
     for a single worker, else that of a process pool which ends with the
-    scan.  The pool sends the tasks of CHUNK_N consecutive n to a worker
-    as one message; chunks not yet started when the scan ends early are
+    scan.  The pool sends CHUNK_N consecutive tasks to a worker as one
+    message; chunks not yet started when the scan ends early are
     cancelled."""
     if jobs == 1:
         yield map
@@ -329,7 +316,7 @@ def _fan_out(jobs: int) -> Iterator[Callable]:
 
     with ProcessPoolExecutor(jobs) as pool:
         try:
-            yield partial(pool.map, chunksize=CHUNK_N * jobs)
+            yield partial(pool.map, chunksize=CHUNK_N)
         except BrokenProcessPool as exc:
             raise ScanError(f"a scan worker exited without reporting: {exc}") from exc
         finally:

@@ -52,6 +52,13 @@ def k_cap(n: int) -> int:
     resolved conservatively upward: if the enclosure of e*ln(n) + e
     touches an integer, that integer is included (scanning one extra k is
     cheap; missing one would break coverage).
+
+    No k with k_cap(n) < k < n needs scanning: such a k exceeds
+    e*(ln(n) + 1), so 0 < omit(n, i, k) <= esf(n, k) <= H_n^k / k!
+    < (e*H_n/k)^k <= (e*(1 + ln n)/k)^k < 1 is not an integer.  Step one
+    drops positive terms (k <= n - 1 leaves one); step two holds since
+    H_n^k, expanded, has k! * esf(n, k) among its nonnegative terms; then
+    k! > (k/e)^k (from e^k > k^k/k!) and H_n <= 1 + integral_1^n dx/x.
     """
     if n < 2:
         raise ValueError("k_cap requires n >= 2")

@@ -64,17 +64,15 @@ def witness_primes(n: int, k_max: int) -> Iterator[int]:
     yield from (p for p in range(max(split, root) + 1, n + 1) if is_prime(p))
 
 
-def unsettled(
-    n: int, indices: range, k_max: int, claims: Optional[List[Claim]] = None
-) -> List[Tuple[int, int]]:
-    """The (i, k) with i in ``indices`` and 1 <= k <= k_max that no prime
-    in (sqrt(n), n] witnesses, in (i, k) order.
+def unsettled(n: int, k_max: int, claims: Optional[List[Claim]] = None) -> List[Tuple[int, int]]:
+    """The (i, k) with 1 <= i <= n and 1 <= k <= k_max that no prime in
+    (sqrt(n), n] witnesses, in (i, k) order.
 
     Primes are tried in :func:`witness_primes` order until every pair has
     a witness.  If ``claims`` is a list, each witness found is appended to
     it, so a caller can check it against the exact valuation.
     """
-    todo: Open = {k: indices for k in range(1, k_max + 1)}
+    todo: Open = {k: range(1, n + 1) for k in range(1, k_max + 1)}
     for p in witness_primes(n, k_max):
         if not todo:
             break

@@ -118,6 +118,9 @@ class TestCertifyRange:
         result = certify_range(13543, 13600, table_50216)
         assert not result.gaps
         assert result.pairs_checked == sum(k_cap(n) for n in range(13543, 13601))
+        # Below the handoff the window lemma leaves the scan's top n one gap,
+        # at k = k_cap(13542) = 28, so the scan is needed right up to 13542.
+        assert certify_range(13542, 13542, table_50216).gaps == ((13542, 28),)
 
     def test_pair_accounting(self, table_5000):
         result = certify_range(100, 140, table_5000)

@@ -62,10 +62,27 @@ class TestScan:
         report, _ = run_scan(tmp_path, "r", n_start=2, n_end=12)
         assert report.triples_checked == closed_form_triple_count(2, 12)
 
+    def test_identity_self_check_on_every_exact_triple(self, tmp_path, monkeypatch):
+        # Above n = 12 only the identity esf(n, k) = omit(n, i, k) +
+        # omit(n, i, k-1)/i checks an exact value.  At n = 20 the triples
+        # (20, 1, 8) and (20, 1, 10) have no witness; corrupt the second.
+        scan_module = importlib.import_module("esfscan.scan")
+        sweep = scan_module.omit_sweep
+
+        def corrupted(row, i, k_max):
+            values = sweep(row, i, k_max)
+            if (row.n, i) == (20, 1):
+                values[-1] += 1
+            return values
+
+        monkeypatch.setattr(scan_module, "omit_sweep", corrupted)
+        with pytest.raises(ScanError, match=r"identity self-check failed at \(20,1,10\)"):
+            run_scan(tmp_path, "r", n_start=13, n_end=27)
+
     def test_deterministic_across_jobs_and_cadence(self, tmp_path):
         _, base = run_scan(tmp_path, "a", n_start=2, n_end=60)
-        _, jobs2 = run_scan(tmp_path, "b", n_start=2, n_end=60, jobs=2)
-        _, jobs4 = run_scan(
+        report2, jobs2 = run_scan(tmp_path, "b", n_start=2, n_end=60, jobs=2)
+        report4, jobs4 = run_scan(
             tmp_path,
             "c",
             n_start=2,
@@ -75,6 +92,12 @@ class TestScan:
             checkpoint_every=7,
         )
         assert base == jobs2 == jobs4
+        # One entry per process that tested an n, and every triple counted once.
+        for report, jobs in ((report2, 2), (report4, 4)):
+            assert 1 <= len(report.worker_stats) <= jobs
+            assert sum(s.triples_checked for s in report.worker_stats) == (
+                closed_form_triple_count(2, 60)
+            )
 
     def test_summary_sidecar(self, tmp_path):
         report, _ = run_scan(tmp_path, "r", n_start=2, n_end=30, jobs=2)
@@ -86,7 +109,7 @@ class TestScan:
             {"n": 2, "i": 2, "k": 1, "value": "1/1"},
             {"n": 4, "i": 4, "k": 2, "value": "1/1"},
         ]
-        assert len(summary["workers"]) == 2
+        assert [w["worker"] for w in summary["workers"]] in ([0], [0, 1])
         assert sum(w["triples_checked"] for w in summary["workers"]) == report.triples_checked
 
     def test_checkpoints_only_at_tested_n(self, tmp_path, monkeypatch):
@@ -111,11 +134,11 @@ class TestScan:
         scan_module = importlib.import_module("esfscan.scan")
         tested = []
 
-        def fail_at_first_n(task):
-            tested.append(task[0])
+        def fail_at_first_n(n):
+            tested.append(n)
             raise ScanError("stop")
 
-        monkeypatch.setattr(scan_module, "_test_indices", fail_at_first_n)
+        monkeypatch.setattr(scan_module, "_test_n", fail_at_first_n)
         for bad in (tmp_path / "no" / "dir.ckpt", tmp_path):
             with pytest.raises(CheckpointError, match=re.escape(f"cannot save checkpoint {bad}")):
                 run_scan(tmp_path, "r", n_start=2, n_end=30, checkpoint_every=10,
@@ -131,7 +154,7 @@ class TestScan:
     def test_summary_directory_is_startup_failure(self, tmp_path, monkeypatch):
         scan_module = importlib.import_module("esfscan.scan")
         tested = []
-        monkeypatch.setattr(scan_module, "_test_indices", tested.append)
+        monkeypatch.setattr(scan_module, "_test_n", tested.append)
         summary = tmp_path / "r.csv.summary.json"
         summary.mkdir()
         with pytest.raises(ScanError, match=re.escape(f"summary path {str(summary)!r}")):
@@ -176,10 +199,30 @@ class TestParallelFailure:
     def test_worker_check_failure_names_triple(self, tmp_path, monkeypatch):
         scan_module = importlib.import_module("esfscan.scan")
         monkeypatch.setattr(scan_module, "omit_oracle", lambda n, i, k: -1)
-        # Both workers fail at n = 2; the first in worker order is reported.
+        # Every n fails; the first index at the first n is reported.
         with pytest.raises(ScanError, match=r"enumeration at \(2,1,1\)"):
             run_scan(tmp_path, "r", n_start=2, n_end=12, jobs=2)
         assert multiprocessing.active_children() == []
+
+    def test_first_failing_n_is_reported(self, tmp_path, monkeypatch):
+        scan_module = importlib.import_module("esfscan.scan")
+        kernel = scan_module.unsettled
+
+        def fail_at(n, k_max, claims=None):
+            if n in (40, 70):
+                raise ScanError(f"planted failure at n={n}")
+            return kernel(n, k_max, claims)
+
+        monkeypatch.setattr(scan_module, "unsettled", fail_at)
+        # n = 40 and n = 70 fall in the second and third message of 32 n;
+        # whichever worker fails first, the scan reports n = 40.
+        ckpt = tmp_path / "r.ckpt"
+        with pytest.raises(ScanError, match="planted failure at n=40"):
+            run_scan(tmp_path, "r", n_start=2, n_end=100, jobs=2,
+                     checkpoint_path=str(ckpt), checkpoint_every=1)
+        assert multiprocessing.active_children() == []
+        # Every n of the first message was completed and checkpointed.
+        assert load_checkpoint(str(ckpt)).n == 33
 
     def test_worker_exit_is_reported(self, tmp_path, monkeypatch):
         scan_module = importlib.import_module("esfscan.scan")

@@ -261,13 +261,12 @@ class TestIdentities:
             assert omit_sweep(row, n, mk) == list(prev.values[:mk]), n
 
     def test_bound_above_cutoff(self):
-        # Above the scan cutoff the full-set values drop below 1, which
-        # is what makes larger subset sizes uninteresting to scan.
-        with mp.workdps(40):
-            for row in esf_rows(40, cap=40):
-                n = row.n
-                if n < 9:
-                    continue
-                k_min = int(mp.ceil(mp.e * mp.log(n) + mp.e))
-                for k in range(k_min, n):
-                    assert row.value(k) < 1, (n, k)
+        # Above k_cap the full-set values drop below 1 (the proof is in the
+        # k_cap docstring), which is what makes larger subset sizes
+        # uninteresting to scan.
+        for row in esf_rows(40, cap=40):
+            n = row.n
+            if n < 2:
+                continue
+            for k in range(k_cap(n) + 1, n):
+                assert row.value(k) < 1, (n, k)

@@ -71,19 +71,12 @@ def test_kernel_makes_exactly_the_claims_of_the_lemma():
 
 
 def test_unsettled_only_below_37():
-    left = [(n, i, k) for n in range(2, 2001) for i, k in unsettled(n, range(1, n + 1), k_cap(n))]
+    left = [(n, i, k) for n in range(2, 2001) for i, k in unsettled(n, k_cap(n))]
     assert len(left) == 214
     assert max(n for n, _, _ in left) <= 36
     # Each one really has no witness at any prime in (sqrt n, n].
     for n, i, k in left[::7]:
         assert all(not lemma_by_definition(n, i, k, p) for p in primes_above_root(n))
-
-
-def test_interleaved_indices_split_the_unsettled_set():
-    for n in (5, 12, 20, 27):
-        whole = unsettled(n, range(1, n + 1), k_cap(n))
-        parts = [unsettled(n, range(w + 1, n + 1, 3), k_cap(n)) for w in range(3)]
-        assert sorted(sum(parts, [])) == whole
 
 
 def test_witness_primes_order():
@@ -119,19 +112,20 @@ def test_scan_to_3000_with_two_jobs_finds_only_known_hits(tmp_path):
 
 def test_exact_count_is_zero_above_36(tmp_path):
     report = scan(ScanConfig(n_start=37, n_end=80, jobs=2, report_path=str(tmp_path / "r.csv")))
-    assert [s.triples_exact for s in report.worker_stats] == [0, 0]
+    assert 1 <= len(report.worker_stats) <= 2
+    assert all(s.triples_exact == 0 for s in report.worker_stats)
     report = scan(ScanConfig(n_start=2, n_end=12, report_path=str(tmp_path / "s.csv")))
     (stat,) = report.worker_stats
     assert stat.triples_exact == stat.triples_checked and stat.triples_witnessed == 0
 
 
 def _false_witness(kernel):
-    """The kernel, plus one false claim at k = 1 for the first index."""
+    """The kernel, plus one false claim at (i, k) = (1, 1)."""
 
-    def patched(n, indices, k_max, claims=None):
-        left = kernel(n, indices, k_max, claims)
+    def patched(n, k_max, claims=None):
+        left = kernel(n, k_max, claims)
         if claims is not None:
-            claims.append((indices[0], 1, 2, 5))
+            claims.append((1, 1, 2, 5))
         return left
 
     return patched
@@ -153,7 +147,7 @@ def _false_witness(kernel):
 def test_false_witness_is_caught_online(tmp_path, monkeypatch, jobs):
     scan_module = importlib.import_module("esfscan.scan")
     monkeypatch.setattr(scan_module, "unsettled", _false_witness(scan_module.unsettled))
-    # omit(2, 1, 1) = 1/2 has v_2 = -1, not -5; the first worker reports it.
+    # omit(2, 1, 1) = 1/2 has v_2 = -1, not -5; the first n reports it.
     with pytest.raises(ScanError, match=r"witness p=2 claims v_p = -5 at \(2,1,1\)"):
         scan(ScanConfig(n_start=2, n_end=12, jobs=jobs, report_path=str(tmp_path / "r.csv")))
     assert multiprocessing.active_children() == []
