@@ -15,7 +15,6 @@ from .rational import (
 from .symfun import (
     EsfRow,
     OmitFirstColumn,
-    compute_esf,
     compute_omit,
     esf_closed_form,
     esf_oracle,

@@ -4,13 +4,26 @@ A certificate for the pair (n, k) is a prime p with
 
     n/(k+3) < p <= n/(k+1)   and   p > max{(k+2)(k+3)/2, 3k+8}.
 
-Whenever such a prime exists, every omit-one value at (n, i, k) has
-p-adic valuation exactly -k and therefore cannot be an integer, for
-every omitted index i.  The witness is the triple (n, k, p) alone: the
-threshold and the multiple count floor(n/p) follow from it and are
-derived on demand.  Window membership is decided by integer
-cross-multiplication only: the window boundaries n/(k+1) and n/(k+3)
-can be hit exactly, and float rounding there could mis-certify.
+Whenever such a prime exists, v_p(omit(n, i, k)) = -k for every omitted
+index i, so no omit-one value at (n, k) is an integer.  This is the J = k
+case of the lemma in :mod:`esfscan.witness`: p > (k+2)(k+3)/2 >= k+3
+gives n < p^2, m = floor(n/p) is k+1 or k+2, and every i leaves
+|A_i| >= m - 1 >= k multiples, so J = k, the unit factor is e_0 = 1, and
+the claim is that e_k(1/A_i) is a unit mod p, for A_i = {1..m} (i a unit)
+or {1..m} minus {a} (i = p*a).  These are the closed forms
+
+    esf(k+1, k) = (k+2)/(2*k!),          omit(k+1, a, k) = a/(k+1)!,
+    esf(k+2, k) = (k+3)(3k+8)/(24*k!),   omit(k+2, a, k) = a((k+2)(k+3)/2 - a)/(k+2)!
+
+and every factor in them is a unit mod p: the denominators, k+2, k+3 and
+a <= k+2 have no prime factor above k+3 < p, 3k+8 < p, and
+0 < (k+1)(k+2)/2 <= (k+2)(k+3)/2 - a < p.
+
+The witness is the triple (n, k, p) alone: the threshold and the
+multiple count floor(n/p) follow from it and are derived on demand.
+Window membership is decided by integer cross-multiplication only: the
+window boundaries n/(k+1) and n/(k+3) can be hit exactly, and float
+rounding there could mis-certify.
 """
 
 from __future__ import annotations
@@ -69,9 +82,9 @@ def find_certificate(n: int, k: int, table: PrimeTable) -> Optional[Certificate]
     """Largest qualifying prime for (n, k), or None.
 
     Any qualifying prime would do; the largest makes the output
-    deterministic.  Since the threshold does not depend on p, only the
-    largest prime <= n/(k+1) can qualify: if it fails any condition, no
-    smaller prime can do better.
+    deterministic.  The threshold does not depend on p, so if
+    :class:`Certificate` refuses the largest prime <= n/(k+1), it refuses
+    every smaller one too.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
@@ -80,9 +93,10 @@ def find_certificate(n: int, k: int, table: PrimeTable) -> Optional[Certificate]
     p = table.largest_leq(n // (k + 1))
     if p is None:
         return None
-    if (k + 3) * p <= n or p <= certificate_threshold(k):
+    try:
+        return Certificate(n, k, p)
+    except ValueError:
         return None
-    return Certificate(n, k, p)
 
 
 @dataclass(frozen=True)
@@ -106,10 +120,8 @@ def certify_range(n_lo: int, n_hi: int, table: PrimeTable) -> CertifyResult:
         raise ValueError(f"prime table limit {table.limit} < n_hi={n_hi}")
     certificates: List[Certificate] = []
     gaps: List[Tuple[int, int]] = []
-    pairs = 0
     for n in range(n_lo, n_hi + 1):
         for k in range(1, k_cap(n) + 1):
-            pairs += 1
             cert = find_certificate(n, k, table)
             if cert is None:
                 gaps.append((n, k))
@@ -118,7 +130,7 @@ def certify_range(n_lo: int, n_hi: int, table: PrimeTable) -> CertifyResult:
     return CertifyResult(
         n_lo=n_lo,
         n_hi=n_hi,
-        pairs_checked=pairs,
+        pairs_checked=len(certificates) + len(gaps),
         certificates=tuple(certificates),
         gaps=tuple(gaps),
     )

@@ -35,9 +35,10 @@ def is_integer(q: Rational) -> bool:
 def is_prime(n: int) -> bool:
     """Primality by trial division up to isqrt(n), exact for every n.
 
-    ``witness.witness_primes`` calls it on every candidate in (sqrt(n), n]
-    of each scanned n, and ``p_adic_valuation`` on its prime; a call on m
-    makes at most isqrt(m) - 1 divisions (115 at the scan's top n, 13542).
+    ``witness.witness_primes`` calls it lazily on the candidates in
+    (sqrt(n), n], which ``witness.unsettled`` stops drawing once every pair
+    of n is settled; ``p_adic_valuation`` calls it on its prime.  A call on
+    m makes at most isqrt(m) - 1 divisions (115 at the scan's top n, 13542).
     """
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 

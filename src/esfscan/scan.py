@@ -14,10 +14,10 @@ exact value is also compared with subset enumeration and every witness
 with the exact valuation.
 
 The scan is one loop over n, and one n, with all of its indices, is one
-stateless task.  One worker runs in-process; more run in a process pool
-that lives only as long as the scan and sends each worker CHUNK_N
-consecutive n in one message, so every per-(n, p) witness table is built
-once.  Results come back in n order.  A check that fails in a worker
+stateless task.  One worker, or a range of at most CHUNK_N n, runs
+in-process; otherwise a process pool that lives only as long as the scan
+sends each worker CHUNK_N consecutive n in one message, so every
+per-(n, p) witness table is built once.  Results come back in n order.  A check that fails in a worker
 raises its ``ScanError`` in the scan; when several n fail, the first of
 them in n order is reported.  After each n the loop rewrites the report
 if that n had hits and then, at a checkpoint n, saves the checkpoint:
@@ -284,11 +284,12 @@ def _scan_range(
     checkpoint is saved if n is a checkpoint n, so a checkpoint never
     claims an n whose hits are not on disk.  Returns one WorkerStat per
     process that tested at least one n, numbered in order of its first
-    result.  No more workers are started than there are n.
+    result.  No more workers are started than there are pool messages of
+    CHUNK_N n, so a range that fits in one message runs in this process.
     """
     counts: Dict[int, List[Tuple[int, int, float]]] = {}  # process id -> per-n counts
     span = range(test_from, stop_n + 1)
-    with _fan_out(min(config.jobs, len(span))) as fan_out:
+    with _fan_out(min(config.jobs, -(-len(span) // CHUNK_N))) as fan_out:
         for n, (found, checked, exact, busy, pid) in zip(span, fan_out(_test_n, span)):
             counts.setdefault(pid, []).append((checked, exact, busy))
             if found:

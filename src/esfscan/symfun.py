@@ -34,10 +34,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, List, Optional, Tuple
 
-from mpmath import iv
-
 from .rational import Rational, make_rational
-from .theta import working_precision
+from .theta import subset_size_bound
 
 # Enumeration oracles refuse larger n; they exist for correctness, not speed.
 ORACLE_BOUND = 20
@@ -62,10 +60,8 @@ def k_cap(n: int) -> int:
     """
     if n < 2:
         raise ValueError("k_cap requires n >= 2")
-    with working_precision():
-        bound = iv.e * iv.log(iv.mpf(n)) + iv.e
     # int() truncates the exact upper endpoint, which is positive: its floor.
-    return min(n - 1, int(bound.b))
+    return min(n - 1, int(subset_size_bound(n).b))
 
 
 @dataclass(frozen=True)
@@ -267,16 +263,6 @@ def omit_closed_form(k: int, i: int, offset: int) -> Rational:
     if offset == 1:
         return make_rational(i, math.factorial(k + 1))
     return make_rational(i * ((k + 2) * (k + 3) // 2 - i), math.factorial(k + 2))
-
-
-def compute_esf(n: int, k: int) -> Rational:
-    """esf(n, k) from scratch via the rolling-row recursion."""
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
-    row = None
-    for row in esf_rows(n, cap=k):
-        pass
-    return row.value(k)
 
 
 def compute_omit(n: int, i: int, k: int) -> Rational:

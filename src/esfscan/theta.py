@@ -8,12 +8,12 @@ check passes only when it holds between opposing interval endpoints, so
 a reported pass is rigorous at the stated precision.
 
 There is one working precision, ``PRECISION_BITS`` = 128 mantissa
-bits, and every report states it.  Every function here, and
-``symfun.k_cap``, runs in one precision scope, :func:`working_precision`,
-which sets the interval and the point precision together and restores
-both.  Endpoint conversions, slacks and midpoints are therefore formed
-at the working precision, never at whatever global mpmath precision the
-caller has set.  No other code in the package sets an mpmath precision.
+bits, and every report states it.  Every function here (``symfun.k_cap``
+reads b(n) from :func:`subset_size_bound`) runs in one precision scope,
+:func:`working_precision`, which sets the interval and the point
+precision together and restores both, so endpoint conversions, slacks
+and midpoints never depend on the caller's global mpmath precision.  No
+other code in the package sets an mpmath precision.
 """
 
 from __future__ import annotations
@@ -62,12 +62,23 @@ class ThetaValue:
     precision_bits: int
 
 
+def subset_size_bound(n: int) -> iv.mpf:
+    """The enclosure of b(n) = e*ln(n) + e, for ``symfun.k_cap`` and :func:`case1_margin`."""
+    with working_precision():
+        return iv.e * iv.log(iv.mpf(n)) + iv.e
+
+
+def _prime_log_sum(x: float, table: PrimeTable) -> iv.mpf:
+    """The enclosure of the sum of ln p over primes p <= x; call under working_precision()."""
+    return sum((iv.log(iv.mpf(p)) for p in table.primes[: table.index_gt(x)]), iv.mpf(0))
+
+
 def theta(x: float, table: PrimeTable) -> ThetaValue:
     """Sum of ln p over primes p <= x, with a rigorous error bound."""
     if x > table.limit:
         raise ValueError(f"x={x} beyond prime table limit {table.limit}")
     with working_precision():
-        acc = sum((iv.log(iv.mpf(p)) for p in table.primes[: table.index_gt(x)]), iv.mpf(0))
+        acc = _prime_log_sum(x, table)
         mid = (mpf(acc.a) + mpf(acc.b)) / 2
         width = float(mpf(acc.delta.b))
     return ThetaValue(value=mid, error_bound=width, precision_bits=PRECISION_BITS)
@@ -107,40 +118,39 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
             f" limit), got [{x_lo}, {x_hi}]"
         )
     failures: List[Tuple[float, str]] = []
-    min_slack = {"lower": None, "upper": None}
+    min_slack = {"lower": mpf("inf"), "upper": mpf("inf")}
     checks = 0
     with working_precision():
         c_lo = iv.mpf(_LOWER_COEFF[0]) / _LOWER_COEFF[1]
         c_hi = iv.mpf(_UPPER_COEFF[0]) / _UPPER_COEFF[1]
 
-        def check(x, acc, side):
-            # The lower curve must lie below the enclosure `acc` of theta
-            # on the plateau whose closure contains x, the upper curve
-            # above it; the verdict compares opposing endpoints exactly.
+        def check(x, log_x, acc, side):
+            # The lower curve must lie below the enclosure `acc` of theta on the
+            # plateau whose closure contains x, the upper curve above it; the
+            # verdict compares opposing endpoints exactly.  `log_x` encloses ln x.
             nonlocal checks
             xi = iv.mpf(x)
             if side == "lower":
-                lo, hi = mpf(acc.a), mpf((xi - c_lo * xi / iv.log(xi)).b)
+                lo, hi = mpf(acc.a), mpf((xi - c_lo * xi / log_x).b)
             else:
-                lo, hi = mpf((xi + c_hi * xi / iv.log(xi)).a), mpf(acc.b)
-            slack = lo - hi
+                lo, hi = mpf((xi + c_hi * xi / log_x).a), mpf(acc.b)
             checks += 1
-            if min_slack[side] is None or slack < min_slack[side]:
-                min_slack[side] = slack
+            min_slack[side] = min(min_slack[side], lo - hi)
             if not lo > hi:
                 failures.append((float(x), side))
 
-        start = table.index_gt(x_lo)
-        in_range = table.primes[start : table.index_gt(x_hi)]
-        acc = sum((iv.log(iv.mpf(p)) for p in table.primes[:start]), iv.mpf(0))
+        in_range = table.primes[table.index_gt(x_lo) : table.index_gt(x_hi)]
+        acc = _prime_log_sum(x_lo, table)
         # Both bounds at x_lo itself.
-        check(x_lo, acc, "lower")
-        check(x_lo, acc, "upper")
+        log_x = iv.log(iv.mpf(x_lo))
+        check(x_lo, log_x, acc, "lower")
+        check(x_lo, log_x, acc, "upper")
         for p in in_range:
-            check(p, acc, "lower")  # left limit at p: x -> p from below
-            acc += iv.log(iv.mpf(p))
-            check(p, acc, "upper")  # right after the jump at p
-        check(x_hi, acc, "lower")
+            log_p = iv.log(iv.mpf(p))  # serves both checks at p and the jump
+            check(p, log_p, acc, "lower")  # left limit at p: x -> p from below
+            acc += log_p
+            check(p, log_p, acc, "upper")  # right after the jump at p
+        check(x_hi, iv.log(iv.mpf(x_hi)), acc, "lower")
         max_width = float(mpf(acc.delta.b))
     return ThetaBoundsReport(
         x_lo=float(x_lo),
@@ -199,7 +209,7 @@ def case1_margin(n: int) -> MarginReport:
         raise ValueError(f"margin check applies for n >= {MARGIN_N_MIN}, got {n}")
     with working_precision():
         n_iv = iv.mpf(n)
-        b = iv.e * iv.log(n_iv) + iv.e
+        b = subset_size_bound(n)
         c355 = iv.mpf(355) / 1000
         margin = (n_iv / (b + 1)) * (2 / (b + 3) - c355 / iv.log(n_iv / (b + 3)))
         # Every endpoint converts exactly, so the comparisons below are

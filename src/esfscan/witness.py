@@ -96,7 +96,7 @@ def settle_at(n: int, p: int, todo: Open, claims: Optional[List[Claim]] = None) 
     inv = _inverses(max(m, tail if depth else 0), p)
     e_mult = _esf(inv[1 : m + 1], min(k_max, m), p)  # e_j(1/1, ..., 1/m)
     e_unit = _esf(inv[1 : tail + 1], depth, p)  # e_t(1/units), valid for t <= p-2
-    rows: Dict[int, List[int]] = {}  # i -> [J at k = 0..k_max], 0 for no witness
+    rows: Dict[int, List[int]] = {}  # i % p or i -> [J at k = 0..k_max], 0 for no witness
 
     def witness_row(i: int) -> List[int]:
         e_a = e_mult if i % p else _omit_one(e_mult, inv[i // p], p)[:m]
@@ -124,9 +124,10 @@ def settle_at(n: int, p: int, todo: Open, claims: Optional[List[Claim]] = None) 
                 rest = set(open_)
             tested = [p * a for a in range(1, m + 1) if p * a in open_]
         for i in tested:
-            row = rows.get(i)
+            key = i % p or i  # a unit's row reads i only mod p; a multiple keeps i >= p
+            row = rows.get(key)
             if row is None:
-                row = rows[i] = witness_row(i)
+                row = rows[key] = witness_row(i)
             if not row[k]:
                 rest.add(i)
             else:

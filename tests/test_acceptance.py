@@ -11,9 +11,9 @@ from esfscan.certify import check_valuations, sample_certified_pairs
 from esfscan.rational import format_rational
 from esfscan.scan import ScanConfig, closed_form_triple_count, scan
 from esfscan.symfun import (
-    compute_esf,
     esf_closed_form,
     esf_oracle,
+    esf_rows,
     k_cap,
     omit_closed_form,
     omit_oracle,
@@ -35,7 +35,8 @@ def test_criterion_01_golden_small_n_tables(run_cli, golden_omit, golden_full):
         assert code == 0 and text == expected + "\n", (n, i, k)
     # The one full-set value in the same tables; it also surfaces through
     # the CLI as the last-index value at n = 4.
-    assert format_rational(compute_esf(3, 2)) == golden_full[(3, 2)]
+    *_, row3 = esf_rows(3, cap=2)
+    assert format_rational(row3.value(2)) == golden_full[(3, 2)]
     assert run_cli(["value", "4", "4", "2"])[1].strip() == golden_full[(3, 2)]
     _report(1, time.perf_counter() - started, f"{len(golden_omit) + 1} table values exact")
 

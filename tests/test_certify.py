@@ -14,6 +14,7 @@ from esfscan.certify import (
     write_certificates,
 )
 from esfscan.symfun import k_cap
+from esfscan.witness import settle_at
 
 
 def brute_certificate_prime(n, k, table):
@@ -102,6 +103,19 @@ class TestFindCertificate:
                 cert = find_certificate(n, k, table_5000)
                 got = cert.p if cert else None
                 assert got == expected, (n, k)
+
+
+def test_every_certificate_settles_in_the_witness_kernel(table_50216):
+    """A second verdict on the certify range: a certificate (n, k, p) is
+    the J = k case of the witness lemma, so p must settle every omitted
+    index at k.  There m = floor(n/p) >= k + 1 and settle_at reads n only
+    through m, so one n per distinct (k, p, m) covers every certificate."""
+    first_n = {}
+    for c in certify_range(13543, 50216, table_50216).certificates:
+        first_n.setdefault((c.k, c.p, c.multiples_in_range), c.n)
+    assert len(first_n) == 13363
+    for (k, p, _), n in first_n.items():
+        assert settle_at(n, p, {k: range(1, n + 1)}) == {}, (n, k, p)
 
 
 class TestCertifyRange:

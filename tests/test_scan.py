@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib
 import json
 import multiprocessing
@@ -199,9 +200,10 @@ class TestParallelFailure:
     def test_worker_check_failure_names_triple(self, tmp_path, monkeypatch):
         scan_module = importlib.import_module("esfscan.scan")
         monkeypatch.setattr(scan_module, "omit_oracle", lambda n, i, k: -1)
-        # Every n fails; the first index at the first n is reported.
+        # Every n fails; the first index at the first n is reported.  The
+        # range spans two pool messages, so the scan forks its workers.
         with pytest.raises(ScanError, match=r"enumeration at \(2,1,1\)"):
-            run_scan(tmp_path, "r", n_start=2, n_end=12, jobs=2)
+            run_scan(tmp_path, "r", n_start=2, n_end=40, jobs=2)
         assert multiprocessing.active_children() == []
 
     def test_first_failing_n_is_reported(self, tmp_path, monkeypatch):
@@ -227,9 +229,18 @@ class TestParallelFailure:
     def test_worker_exit_is_reported(self, tmp_path, monkeypatch):
         scan_module = importlib.import_module("esfscan.scan")
         monkeypatch.setattr(scan_module, "omit_oracle", lambda n, i, k: os._exit(3))
+        # Two pool messages: the exit happens in a worker, not in this process.
         with pytest.raises(ScanError, match="exited without reporting"):
-            run_scan(tmp_path, "r", n_start=2, n_end=12, jobs=2)
+            run_scan(tmp_path, "r", n_start=2, n_end=40, jobs=2)
         assert multiprocessing.active_children() == []
+
+    def test_one_message_starts_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a range of one pool message started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        report, _ = run_scan(tmp_path, "r", n_start=1190, n_end=1194, jobs=2)
+        assert [s.worker for s in report.worker_stats] == [0]
 
 
 KNOWN = (IntegerHit(2, 2, 1, "1/1"), IntegerHit(4, 4, 2, "1/1"))

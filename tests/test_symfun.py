@@ -5,7 +5,6 @@ from mpmath import mp
 
 from esfscan.rational import format_rational, is_integer, make_rational
 from esfscan.symfun import (
-    compute_esf,
     compute_omit,
     esf_closed_form,
     esf_oracle,
@@ -115,7 +114,8 @@ class TestRowRecursion:
         assert [format_rational(v) for v in row3.values] == ["11/6", "1/1", "1/6"]
 
     def test_row4_third_entry(self):
-        assert compute_esf(4, 3) == make_rational(5, 12)
+        *_, row4 = esf_rows(4, cap=3)
+        assert row4.value(3) == make_rational(5, 12)
 
     def test_matches_oracle_exhaustively(self):
         row = esf_row_start(cap=12)

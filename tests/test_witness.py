@@ -148,6 +148,7 @@ def test_false_witness_is_caught_online(tmp_path, monkeypatch, jobs):
     scan_module = importlib.import_module("esfscan.scan")
     monkeypatch.setattr(scan_module, "unsettled", _false_witness(scan_module.unsettled))
     # omit(2, 1, 1) = 1/2 has v_2 = -1, not -5; the first n reports it.
+    # [2, 40] spans two pool messages, so jobs=2 forks its workers.
     with pytest.raises(ScanError, match=r"witness p=2 claims v_p = -5 at \(2,1,1\)"):
-        scan(ScanConfig(n_start=2, n_end=12, jobs=jobs, report_path=str(tmp_path / "r.csv")))
+        scan(ScanConfig(n_start=2, n_end=40, jobs=jobs, report_path=str(tmp_path / "r.csv")))
     assert multiprocessing.active_children() == []
