@@ -10,20 +10,24 @@ UTF-8 text so checkpoints are human-auditable and diff-able:
     HIT <n> <i> <k> <num>/<den>      h lines, sorted by (n, i, k)
 
 Every output of the package goes through :func:`write_lines`, so a
-reader sees the old file or the whole new one.  Loading validates the
-version (v1 files, which also carried the row and the k = 1 column, are
-refused), n_start <= n, the hit count, each hit's range, canonical form
-("2/2" is refused) and integrality, and that hits strictly increase in
-(n, i, k); corruption fails loudly instead of silently restarting the scan.
+reader sees the old file or the whole new one, and every command passes
+all of its outputs to :func:`probe_outputs` once, before it does any
+work; no other code decides whether a path may be written.  Loading
+validates the version (v1 files, which also carried the row and the
+k = 1 column, are refused), n_start <= n, the hit count, each hit's
+range, canonical form ("2/2" is refused) and integrality, and that hits
+strictly increase in (n, i, k); corruption fails loudly instead of
+silently restarting the scan.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import stat
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .rational import format_rational, is_integer, parse_rational
 
@@ -73,13 +77,32 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
         raise
 
 
-def probe_output(path: str) -> None:
-    """Raise OSError unless :func:`write_lines` can write path now; only its
-    temporary file is created, and removed again."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(f"{path!r} is a directory")
-    open(path + TMP_SUFFIX, "w").close()
-    os.remove(path + TMP_SUFFIX)
+def probe_outputs(paths: Sequence[str]) -> None:
+    """Raise OSError, naming the path, unless :func:`write_lines` can write
+    each of ``paths`` now, to a file of its own.
+
+    A path is refused when it is empty; when it exists and is not a regular
+    file (``os.replace`` would replace a FIFO or a device node); when it or
+    its temporary file is an earlier output or that output's temporary file;
+    or when its temporary file cannot be created.  Only that file is
+    created, without blocking, and removed again.
+    """
+    taken = set()
+    for path in paths:
+        if not path:
+            raise OSError(f"output path {path!r} is empty")
+        mine = {os.path.abspath(path), os.path.abspath(path + TMP_SUFFIX)}
+        if mine & taken:
+            raise OSError(f"output path {path!r} is another output or its temporary file")
+        taken |= mine
+        with suppress(FileNotFoundError):  # a missing path is written anew
+            if not stat.S_ISREG(os.stat(path).st_mode):
+                raise OSError(f"output path {path!r} exists and is not a regular file")
+        try:
+            os.close(os.open(path + TMP_SUFFIX, os.O_WRONLY | os.O_CREAT | os.O_NONBLOCK))
+            os.remove(path + TMP_SUFFIX)
+        except OSError as exc:
+            raise OSError(f"output path {path!r} is not writable: {exc}") from exc
 
 
 def save_checkpoint(path: str, record: CheckpointRecord) -> None:

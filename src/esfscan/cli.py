@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 = success with expected findings; 1 = usage or domain
-error, or an output path found unwritable before any work; 2 = unexpected
+error, or an output path refused before any work; 2 = unexpected
 finding (an integer hit outside the two known ones, a certificate gap, or
 a failed bound check), so CI can alarm on the interesting case specifically.
 """
@@ -18,7 +18,7 @@ from mpmath import mpf
 from mpmath.libmp import to_rational
 
 from .certify import certify_range, write_certificates
-from .checkpoint import CheckpointError, probe_output
+from .checkpoint import CheckpointError, probe_outputs
 from .primes import sieve
 from .scan import KNOWN_HITS, ScanConfig, ScanError, scan
 from .symfun import compute_omit
@@ -116,10 +116,10 @@ def _cmd_certify(args) -> int:
     if not 2 <= args.n_start <= args.n_end:
         print("need 2 <= n-start <= n-end", file=sys.stderr)
         return USAGE_ERROR
-    if args.out:
-        probe_output(args.out)
+    if args.out is not None:
+        probe_outputs([args.out])
     result = certify_range(args.n_start, args.n_end, sieve(args.n_end))
-    if args.out:
+    if args.out is not None:
         write_certificates(args.out, result)
     print(
         f"certified n in [{result.n_lo}, {result.n_hi}]: {result.pairs_checked} (n,k) pairs, "

@@ -17,17 +17,20 @@ The scan is one loop over n, and one n, with all of its indices, is one
 stateless task.  One worker, or a range of at most CHUNK_N n, runs
 in-process; otherwise a process pool that lives only as long as the scan
 sends each worker CHUNK_N consecutive n in one message, so every
-per-(n, p) witness table is built once.  Results come back in n order.  A check that fails in a worker
-raises its ``ScanError`` in the scan; when several n fail, the first of
-them in n order is reported.  After each n the loop rewrites the report
-if that n had hits and then, at a checkpoint n, saves the checkpoint:
-the last completed n and the hits so far.  The checkpoint, the report
-and its ``.summary.json`` are each written atomically by
-``checkpoint.write_lines``, and all three paths are checked before the
-first n is tested.  A resume is a fresh start at the next n.  The hit
-report is kept in (n, i, k) order, so its bytes are a pure function of
-the configured range, independent of worker count, of checkpoint
-cadence, and of interrupt/resume history.
+per-(n, p) witness table is built once.  The closed-form triple count is
+taken before the first n, so forked workers inherit every cached
+k_cap(n).  Results come back in n order.  A check
+that fails in a worker raises its ``ScanError`` in the scan; when
+several n fail, the first of them in n order is reported.  After each n
+the loop rewrites the report if that n had hits and then, at a
+checkpoint n, saves the checkpoint: the last completed n and the hits so
+far.  The checkpoint, the report and its ``.summary.json`` are each
+written atomically by ``checkpoint.write_lines``, and
+``checkpoint.probe_outputs`` vets all three paths at once, before a
+checkpoint is read or an n is tested.  A resume is a fresh start at the
+next n.  The hit report is kept in (n, i, k) order, so its bytes are a
+pure function of the configured range, independent of worker count, of
+checkpoint cadence, and of interrupt/resume history.
 """
 
 from __future__ import annotations
@@ -41,12 +44,10 @@ from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .checkpoint import (
-    TMP_SUFFIX,
-    CheckpointError,
     CheckpointRecord,
     IntegerHit,
     load_checkpoint,
-    probe_output,
+    probe_outputs,
     save_checkpoint,
     write_lines,
 )
@@ -89,16 +90,8 @@ class ScanConfig:
             raise ScanError(f"jobs must be >= 1, got {self.jobs}")
         if self.checkpoint_every < 1:
             raise ScanError("checkpoint_every must be >= 1")
-        if self.resume and not self.checkpoint_path:
+        if self.resume and self.checkpoint_path is None:
             raise ScanError("resume requested without a checkpoint path")
-        # No output, nor the temporary file it is written through, may be another.
-        outputs = (self.checkpoint_path, self.report_path, self.report_path + SUMMARY_SUFFIX)
-        written = [os.path.abspath(p + tmp) for p in outputs if p for tmp in ("", TMP_SUFFIX)]
-        if len(set(written)) < len(written):
-            raise ScanError(
-                f"checkpoint path {self.checkpoint_path!r} is the report or its summary,"
-                " or shares a temporary file with one"
-            )
         if self.stop_after_n is not None and self.stop_after_n < self.n_start:
             raise ScanError(
                 f"stop_after_n={self.stop_after_n} is below n_start={self.n_start}"
@@ -213,6 +206,12 @@ def scan(config: ScanConfig) -> ScanReport:
     """Run the configured scan and return the report (also written to disk)."""
     config.validate()
     started = time.perf_counter()
+    summary_path = config.report_path + SUMMARY_SUFFIX
+    ckpt = [] if config.checkpoint_path is None else [config.checkpoint_path]
+    try:
+        probe_outputs([*ckpt, config.report_path, summary_path])
+    except OSError as exc:
+        raise ScanError(str(exc)) from exc
 
     lineage: List[Tuple[str, int]] = []
     base_n = 1
@@ -234,30 +233,16 @@ def scan(config: ScanConfig) -> ScanReport:
         base_n = record.n
         hits = list(record.hits)
 
-    # Every output is checked before any n is tested.
-    ckpt, summary_path = config.checkpoint_path, config.report_path + SUMMARY_SUFFIX
-    if ckpt:
-        try:
-            probe_output(ckpt)
-        except OSError as exc:
-            raise CheckpointError(f"cannot save checkpoint {ckpt}: {exc}") from exc
-    for what, path in (("report", config.report_path), ("summary", summary_path)):
-        try:
-            probe_output(path)
-        except OSError as exc:
-            raise ScanError(f"{what} path {path!r} is not writable: {exc}") from exc
     _write_report(config.report_path, hits)
 
-    # A resume is a fresh start after the checkpointed n.
+    # A resume is a fresh start after the checkpointed n.  The count comes
+    # first, so pool workers fork with every k_cap(n) already cached.
     test_from = max(config.n_start, base_n + 1)
+    expected = closed_form_triple_count(test_from, stop_n)
     stats = _scan_range(config, test_from, stop_n, hits) if test_from <= stop_n else ()
-
     actual = sum(s.triples_checked for s in stats)
-    expected_exec = closed_form_triple_count(test_from, stop_n)
-    if actual != expected_exec:
-        raise ScanError(
-            f"triple count mismatch: checked {actual}, closed form says {expected_exec}"
-        )
+    if actual != expected:
+        raise ScanError(f"triple count mismatch: checked {actual}, closed form says {expected}")
 
     report = ScanReport(
         n_start=config.n_start,

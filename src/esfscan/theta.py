@@ -204,7 +204,27 @@ class MarginReport:
 
 
 def case1_margin(n: int) -> MarginReport:
-    """Evaluate the analytic margin at n >= 50217 in interval arithmetic."""
+    """Evaluate the analytic margin at n >= 50217 in interval arithmetic.
+
+    One passing check at n = 50217 covers every larger n.  Write L = ln n,
+    b = eL + e and x = b + 3.  The prefactor n/(b+1) is positive and so is
+    ln(n/x) while the window bottom n/x is >= 1429, so the margin has the
+    sign of g(L) = 2(L - ln x) - 0.355x, and
+
+        g'(L) = 2 - 2e/x - 0.355e >= 2 - 2e/(e+3) - 0.355e ~ 0.0843 > 0
+
+    for every L >= 0: g only grows.  The right-hand sides (b+3)(3b+8) and
+    (b+2)(b+3)^2/2 of the auxiliary inequalities have derivatives in n of
+    (e/n)(6b+17) ~ 0.0114 and (e/n)(b+3)(3b+7)/2 ~ 0.0984 at n = 50217.
+    Both are < 1 and fall as n grows, since the derivatives of (6b+17)/n
+    and (b+3)(3b+7)/n have numerators 6e - 6b - 17 < 0 and
+    e(6b+16) - (b+3)(3b+7) < 0 for b >= 4; so n, of slope 1, stays above
+    them.  The window bottom n/(b+3) has derivative (b+3-e)/(b+3)^2 > 0,
+    so it only grows from its value 1429.004 at n = 50217; this is the
+    condition that binds.  ``tests/test_theta.py`` checks these bounds in
+    interval arithmetic.  The check is at the worst case k = b(n); that
+    each fact carries down to every integer k < b is not proved here.
+    """
     if n < MARGIN_N_MIN:
         raise ValueError(f"margin check applies for n >= {MARGIN_N_MIN}, got {n}")
     with working_precision():

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import stat
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,15 @@ from esfscan.scan import (
 )
 from esfscan.symfun import k_cap
 from esfscan.theta import case1_margin
+
+
+_unpatched_test_n = importlib.import_module("esfscan.scan")._test_n
+
+
+def _overcount_at_30(n):
+    """``scan._test_n``, reporting one triple too many at n = 30."""
+    found, checked, *rest = _unpatched_test_n(n)
+    return (found, checked + (n == 30), *rest)
 
 
 def mpf_fraction(x):
@@ -127,9 +137,22 @@ class TestScan:
         )
         assert saved == [30, 40]
 
-    def test_unwritable_report_is_startup_failure(self, tmp_path):
-        with pytest.raises(ScanError, match="not writable"):
-            scan(ScanConfig(n_start=2, n_end=10, report_path=str(tmp_path / "no" / "dir.csv")))
+    def test_unwritable_report_is_startup_failure(self, tmp_path, monkeypatch):
+        scan_module = importlib.import_module("esfscan.scan")
+        tested = []
+        monkeypatch.setattr(scan_module, "_test_n", tested.append)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # A FIFO with no reader at <path>.tmp is refused, not waited on.
+        os.mkfifo(tmp_path / "q.csv.tmp")
+        for bad, why in ((tmp_path / "no" / "dir.csv", "is not writable"),
+                         ("", "is empty"), (fifo, "is not a regular file"),
+                         (tmp_path / "q.csv", "is not writable")):
+            with pytest.raises(ScanError, match=re.escape(f"output path {str(bad)!r}") + ".*" + why):
+                scan(ScanConfig(n_start=2, n_end=10, report_path=str(bad)))
+        assert tested == []
+        assert sorted(os.listdir(tmp_path)) == ["fifo", "q.csv.tmp"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     def test_unwritable_checkpoint_is_startup_failure(self, tmp_path, monkeypatch):
         scan_module = importlib.import_module("esfscan.scan")
@@ -140,30 +163,38 @@ class TestScan:
             raise ScanError("stop")
 
         monkeypatch.setattr(scan_module, "_test_n", fail_at_first_n)
-        for bad in (tmp_path / "no" / "dir.ckpt", tmp_path):
-            with pytest.raises(CheckpointError, match=re.escape(f"cannot save checkpoint {bad}")):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        for bad in (tmp_path / "no" / "dir.ckpt", tmp_path, "", fifo):
+            with pytest.raises(ScanError, match=re.escape(f"output path {str(bad)!r}")):
                 run_scan(tmp_path, "r", n_start=2, n_end=30, checkpoint_every=10,
                          checkpoint_path=str(bad))
         assert tested == []
+        assert os.listdir(tmp_path) == ["fifo"] and stat.S_ISFIFO(os.stat(fifo).st_mode)
         # A writable path is probed without leaving a checkpoint below n_start.
         ckpt = tmp_path / "r.ckpt"
         with pytest.raises(ScanError, match="stop"):
             run_scan(tmp_path, "r", n_start=2, n_end=30, checkpoint_path=str(ckpt))
         assert tested == [2]
-        assert sorted(os.listdir(tmp_path)) == ["r.csv"]
+        assert sorted(os.listdir(tmp_path)) == ["fifo", "r.csv"]
 
     def test_summary_directory_is_startup_failure(self, tmp_path, monkeypatch):
         scan_module = importlib.import_module("esfscan.scan")
         tested = []
         monkeypatch.setattr(scan_module, "_test_n", tested.append)
-        summary = tmp_path / "r.csv.summary.json"
-        summary.mkdir()
-        with pytest.raises(ScanError, match=re.escape(f"summary path {str(summary)!r}")):
-            run_scan(tmp_path, "r", n_start=2, n_end=30)
+        for make in (os.mkdir, os.mkfifo):
+            where = tmp_path / make.__name__
+            where.mkdir()
+            summary = where / "r.csv.summary.json"
+            make(summary)
+            kind = stat.S_IFMT(os.stat(summary).st_mode)
+            with pytest.raises(ScanError, match=re.escape(f"output path {str(summary)!r}")):
+                run_scan(where, "r", n_start=2, n_end=30)
+            assert os.listdir(where) == ["r.csv.summary.json"]
+            assert stat.S_IFMT(os.stat(summary).st_mode) == kind
         assert tested == []
-        assert sorted(os.listdir(tmp_path)) == ["r.csv.summary.json"]
 
-    def test_config_validation(self):
+    def test_config_validation(self, tmp_path, monkeypatch):
         with pytest.raises(ScanError):
             ScanConfig(n_start=1, n_end=10).validate()
         with pytest.raises(ScanError):
@@ -174,22 +205,27 @@ class TestScan:
             ScanConfig(n_start=2, n_end=4, resume=True).validate()
         with pytest.raises(ScanError, match="stop_after_n=50 is below n_start=100"):
             ScanConfig(n_start=100, n_end=200, stop_after_n=50).validate()
-        # The checkpoint must not overwrite the report or its summary.
-        with pytest.raises(ScanError, match="is the report or its summary"):
-            ScanConfig(
-                n_start=2, n_end=4, report_path="r.csv", checkpoint_path="./r.csv"
-            ).validate()
-        with pytest.raises(ScanError, match="is the report or its summary"):
-            ScanConfig(
-                n_start=2, n_end=4, report_path="r.csv", checkpoint_path="r.csv.summary.json"
-            ).validate()
-        # Each output is written through <path>.tmp, which must be no other output.
-        for report, ckpt in (("r.csv", "r.csv.tmp"), ("r.csv", "r.csv.summary.json.tmp"),
-                             ("c.tmp", "c")):
-            with pytest.raises(ScanError, match="shares a temporary file"):
-                ScanConfig(
-                    n_start=2, n_end=4, report_path=report, checkpoint_path=ckpt
-                ).validate()
+        # No output may be another, nor the temporary file (<path>.tmp)
+        # another is written through; scan() refuses them before any n.
+        scan_module = importlib.import_module("esfscan.scan")
+        tested = []
+        monkeypatch.setattr(scan_module, "_test_n", tested.append)
+        monkeypatch.chdir(tmp_path)
+        for report, ckpt, named in (
+            ("r.csv", "./r.csv", "r.csv"),
+            ("r.csv", "r.csv.summary.json", "r.csv.summary.json"),
+            ("r.csv", "r.csv.tmp", "r.csv"),
+            ("r.csv", "r.csv.summary.json.tmp", "r.csv.summary.json"),
+            ("c.tmp", "c", "c.tmp"),
+        ):
+            config = ScanConfig(n_start=2, n_end=4, report_path=report, checkpoint_path=ckpt)
+            config.validate()
+            with pytest.raises(ScanError, match=re.escape(
+                f"output path {named!r} is another output or its temporary file"
+            )):
+                scan(config)
+        assert tested == []
+        assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.skipif(
@@ -232,6 +268,18 @@ class TestParallelFailure:
         # Two pool messages: the exit happens in a worker, not in this process.
         with pytest.raises(ScanError, match="exited without reporting"):
             run_scan(tmp_path, "r", n_start=2, n_end=40, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_triple_count_mismatch_is_reported(self, tmp_path, monkeypatch):
+        scan_module = importlib.import_module("esfscan.scan")
+        monkeypatch.setattr(scan_module, "_test_n", _overcount_at_30)
+        want = closed_form_triple_count(2, 40)
+        # In-process, and in a forked worker: [2, 40] is two pool messages.
+        for jobs in (1, 2):
+            with pytest.raises(ScanError, match=re.escape(
+                f"triple count mismatch: checked {want + 1}, closed form says {want}"
+            )):
+                run_scan(tmp_path, f"j{jobs}", n_start=2, n_end=40, jobs=jobs)
         assert multiprocessing.active_children() == []
 
     def test_one_message_starts_no_pool(self, tmp_path, monkeypatch):
@@ -534,7 +582,7 @@ class TestCli:
         assert ckpt in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory", "empty", "fifo"])
     def test_certify_unwritable_out_refused_before_work(
         self, run_cli, tmp_path, capsys, monkeypatch, where
     ):
@@ -542,11 +590,20 @@ class TestCli:
         called = []
         monkeypatch.setattr(cli_module, "sieve", lambda *args: called.append("sieve"))
         monkeypatch.setattr(cli_module, "certify_range", lambda *args: called.append("certify"))
-        out = str(tmp_path / "no" / "c.tsv" if where == "missing directory" else tmp_path)
+        out = {
+            "missing directory": str(tmp_path / "no" / "c.tsv"),
+            "directory": str(tmp_path),
+            "empty": "",
+            "fifo": str(tmp_path / "fifo"),
+        }[where]
+        if where == "fifo":
+            os.mkfifo(out)
         code, text = run_cli(["certify", "--n-start", "13543", "--n-end", "13550", "--out", out])
         assert (code, text) == (1, "")
-        assert out in capsys.readouterr().err
+        assert repr(out) in capsys.readouterr().err
         assert called == []
+        assert os.listdir(tmp_path) == (["fifo"] if where == "fifo" else [])
+        assert where != "fifo" or stat.S_ISFIFO(os.stat(out).st_mode)
 
     def test_resume_stopping_before_checkpoint_exits_1(self, run_cli, tmp_path):
         ckpt = str(tmp_path / "to60.ckpt")

@@ -1,13 +1,16 @@
 import math
 
 import pytest
-from mpmath import iv, mp
+from mpmath import iv, mp, mpf
 
 from esfscan.theta import (
+    MARGIN_N_MIN,
     PRECISION_BITS,
+    THETA_BOUND_X_MIN,
     case1_margin,
     check_theta_bounds,
     precision_bits,
+    subset_size_bound,
     theta,
     working_precision,
 )
@@ -107,6 +110,24 @@ class TestMargin:
     def test_below_boundary_rejected(self):
         with pytest.raises(ValueError):
             case1_margin(50216)
+
+    def test_check_at_boundary_covers_every_larger_n(self):
+        # The three bounds of the case1_margin docstring, in 128-bit intervals.
+        with working_precision():
+            e, n = iv.e, iv.mpf(MARGIN_N_MIN)
+            b = subset_size_bound(MARGIN_N_MIN)
+            slope = 2 - 2 * e / (e + 3) - iv.mpf(355) / 1000 * e
+            assert mpf(slope.a) > 0.0842
+            d_product = e / n * (6 * b + 17)
+            d_square = e / n * (b + 3) * (3 * b + 7) / 2
+            assert mpf(d_product.b) < 0.0114 and mpf(d_square.b) < 0.0985
+            # Both slopes fall: the numerators are negative at b(50217) and
+            # decrease in b (their b-derivatives are -6 and 6e - 6b - 16 < 0).
+            assert mpf((6 * e - 6 * b - 17).b) < 0
+            assert mpf((e * (6 * b + 16) - (b + 3) * (3 * b + 7)).b) < 0
+            assert mpf((b + 3 - e).a) > 0
+            bottom = n / (b + 3)
+            assert THETA_BOUND_X_MIN + 0.0039 < mpf(bottom.a) < mpf(bottom.b) < 1429.004
 
     def test_report_independent_of_global_precision(self):
         # The enclosure and the midpoint must not be rounded at mp.prec.
