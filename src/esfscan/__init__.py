@@ -39,6 +39,7 @@ from .certify import (
     check_valuations,
     find_certificate,
     sample_certified_pairs,
+    window_violation,
     write_certificates,
 )
 from .theta import (

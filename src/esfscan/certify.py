@@ -19,18 +19,28 @@ and every factor in them is a unit mod p: the denominators, k+2, k+3 and
 a <= k+2 have no prime factor above k+3 < p, 3k+8 < p, and
 0 < (k+1)(k+2)/2 <= (k+2)(k+3)/2 - a < p.
 
-The witness is the triple (n, k, p) alone: the threshold and the
-multiple count floor(n/p) follow from it and are derived on demand.
-Window membership is decided by integer cross-multiplication only: the
-window boundaries n/(k+1) and n/(k+3) can be hit exactly, and float
-rounding there could mis-certify.
+A certificate is the triple (n, k, p) alone: the threshold and the
+multiple count floor(n/p) follow from it.  :func:`window_violation` is
+the one statement of the conditions above; :class:`Certificate` and
+:func:`certify_range` both ask it about every pair.  Window membership
+is decided by integer cross-multiplication only: the window boundaries
+n/(k+1) and n/(k+3) can be hit exactly, and float rounding there could
+mis-certify.
+
+A :class:`CertifyResult` stores one integer per (n, k) pair, the
+certifying prime or 0 at a gap, in (n, k) order; objects and file lines
+are made from it on demand, and each line's tail after n is rendered
+once per distinct (k, p, floor(n/p)).
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .checkpoint import write_lines
 from .primes import PrimeTable
@@ -39,9 +49,26 @@ from .rational import make_rational, p_adic_valuation
 from .symfun import esf_rows, k_cap, omit_sweep
 
 
+@lru_cache(maxsize=None)
 def certificate_threshold(k: int) -> int:
     """max{(k+2)(k+3)/2, 3k+8}; (k+2)(k+3) is even, so the division is exact."""
     return max((k + 2) * (k + 3) // 2, 3 * k + 8)
+
+
+def window_violation(n: int, k: int, p: int) -> Optional[str]:
+    """Why p does not certify (n, k), or None when it does."""
+    if not 1 <= k < n:
+        return f"certificate requires 1 <= k < n, got k={k}, n={n}"
+    if (k + 3) * p <= n:
+        return f"p={p} at or below the window for (n={n}, k={k})"
+    if (k + 1) * p > n:
+        return f"p={p} above the window for (n={n}, k={k})"
+    threshold = certificate_threshold(k)
+    if p <= threshold:
+        return f"p={p} does not exceed the threshold {threshold}"
+    if n // p not in (k + 1, k + 2):
+        return f"floor(n/p)={n // p} outside {{k+1, k+2}}"
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,17 +84,9 @@ class Certificate:
     p: int
 
     def __post_init__(self):
-        n, k, p = self.n, self.k, self.p
-        if not 1 <= k < n:
-            raise ValueError(f"certificate requires 1 <= k < n, got k={k}, n={n}")
-        if (k + 3) * p <= n:
-            raise ValueError(f"p={p} at or below the window for (n={n}, k={k})")
-        if (k + 1) * p > n:
-            raise ValueError(f"p={p} above the window for (n={n}, k={k})")
-        if p <= self.threshold:
-            raise ValueError(f"p={p} does not exceed the threshold {self.threshold}")
-        if self.multiples_in_range not in (k + 1, k + 2):
-            raise ValueError(f"floor(n/p)={self.multiples_in_range} outside {{k+1, k+2}}")
+        reason = window_violation(self.n, self.k, self.p)
+        if reason is not None:
+            raise ValueError(reason)
 
     @property
     def threshold(self) -> int:
@@ -83,75 +102,95 @@ def find_certificate(n: int, k: int, table: PrimeTable) -> Optional[Certificate]
 
     Any qualifying prime would do; the largest makes the output
     deterministic.  The threshold does not depend on p, so if
-    :class:`Certificate` refuses the largest prime <= n/(k+1), it refuses
-    every smaller one too.
+    :func:`window_violation` refuses the largest prime <= n/(k+1), it
+    refuses every smaller one too.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if table.limit < n:
         raise ValueError(f"prime table limit {table.limit} < n={n}")
     p = table.largest_leq(n // (k + 1))
-    if p is None:
+    if p is None or window_violation(n, k, p) is not None:
         return None
-    try:
-        return Certificate(n, k, p)
-    except ValueError:
-        return None
+    return Certificate(n, k, p)
 
 
 @dataclass(frozen=True)
 class CertifyResult:
+    """The certifying prime of every (n, k) pair, k = 1..k_cap(n), in
+    (n, k) order, with 0 at a gap; ``gaps`` lists the gap pairs."""
+
     n_lo: int
     n_hi: int
-    pairs_checked: int
-    certificates: Tuple[Certificate, ...]
+    primes: array
     gaps: Tuple[Tuple[int, int], ...]
+
+    @property
+    def pairs_checked(self) -> int:
+        return len(self.primes)
+
+    def by_n(self) -> Iterator[Tuple[int, array]]:
+        """(n, the primes at k = 1..k_cap(n)) for each n in order."""
+        j = 0
+        for n in range(self.n_lo, self.n_hi + 1):
+            cap = k_cap(n)
+            yield n, self.primes[j : j + cap]
+            j += cap
+
+    def certificates(self) -> Iterator[Certificate]:
+        """A validated :class:`Certificate` for every certified pair."""
+        for n, row in self.by_n():
+            for k, p in enumerate(row, 1):
+                if p:
+                    yield Certificate(n, k, p)
 
 
 def certify_range(n_lo: int, n_hi: int, table: PrimeTable) -> CertifyResult:
     """Attempt a certificate for every n in [n_lo, n_hi] and every scanned k.
 
-    The k range at each n is 1..k_cap(n) (always < n).  Pairs with no
-    qualifying prime are reported as gaps.
+    The k range at each n is 1..k_cap(n) (always < n).  The candidate at
+    (n, k) is the largest prime <= n/(k+1), as in :func:`find_certificate`;
+    pairs it does not certify are reported as gaps.
     """
     if not 2 <= n_lo <= n_hi:
         raise ValueError(f"need 2 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     if n_hi > table.limit:
         raise ValueError(f"prime table limit {table.limit} < n_hi={n_hi}")
-    certificates: List[Certificate] = []
+    # largest[x] is the largest prime <= x for every x = n // (k+1), or 0
+    # where there is none, which the window refuses.
+    primes = (0, *table.primes)
+    largest = [primes[bisect_right(primes, x) - 1] for x in range(n_hi // 2 + 1)]
+    found = array("q")
     gaps: List[Tuple[int, int]] = []
     for n in range(n_lo, n_hi + 1):
         for k in range(1, k_cap(n) + 1):
-            cert = find_certificate(n, k, table)
-            if cert is None:
+            p = largest[n // (k + 1)]
+            if window_violation(n, k, p) is not None:
+                p = 0
                 gaps.append((n, k))
-            else:
-                certificates.append(cert)
-    return CertifyResult(
-        n_lo=n_lo,
-        n_hi=n_hi,
-        pairs_checked=len(certificates) + len(gaps),
-        certificates=tuple(certificates),
-        gaps=tuple(gaps),
-    )
+            found.append(p)
+    return CertifyResult(n_lo=n_lo, n_hi=n_hi, primes=found, gaps=tuple(gaps))
 
 
 def certificate_lines(result: CertifyResult) -> Iterable[str]:
     """Render the certificate list format: one tab-separated line per
     certificate (n, k, p, threshold, floor(n/p)); gap lines prefixed GAP.
 
-    Certificates and gaps are each in (n, k) order, so one merge walk
-    interleaves them.
+    Everything after n depends on (k, p, floor(n/p)) alone, so that tail
+    is rendered once per distinct key.
     """
-    gaps = result.gaps
-    g = 0
-    for c in result.certificates:
-        while g < len(gaps) and gaps[g] < (c.n, c.k):
-            yield "GAP\t%d\t%d" % gaps[g]
-            g += 1
-        yield f"{c.n}\t{c.k}\t{c.p}\t{c.threshold}\t{c.multiples_in_range}"
-    for gap in gaps[g:]:
-        yield "GAP\t%d\t%d" % gap
+    tails = {}
+    for n, row in result.by_n():
+        head = f"{n}\t"
+        for k, p in enumerate(row, 1):
+            if not p:
+                yield f"GAP\t{n}\t{k}"
+                continue
+            key = k, p, n // p
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = f"{k}\t{p}\t{certificate_threshold(k)}\t{key[2]}"
+            yield head + tail
 
 
 def write_certificates(path: str, result: CertifyResult) -> None:
@@ -207,7 +246,7 @@ def sample_certified_pairs(
     table: PrimeTable, n_max: int, count: int, seed: int = 2024
 ) -> List[Tuple[int, int]]:
     """Deterministically sample ``count`` certified (n, k) pairs with n <= n_max."""
-    certified = [(c.n, c.k) for c in certify_range(2, n_max, table).certificates]
+    certified = [(c.n, c.k) for c in certify_range(2, n_max, table).certificates()]
     if len(certified) < count:
         raise ValueError(f"only {len(certified)} certified pairs below {n_max}")
     rng = random.Random(seed)

@@ -123,7 +123,7 @@ def _cmd_certify(args) -> int:
         write_certificates(args.out, result)
     print(
         f"certified n in [{result.n_lo}, {result.n_hi}]: {result.pairs_checked} (n,k) pairs, "
-        f"{len(result.certificates)} certificates, {len(result.gaps)} gap(s)"
+        f"{result.pairs_checked - len(result.gaps)} certificates, {len(result.gaps)} gap(s)"
     )
     for n, k in result.gaps[:20]:
         print(f"  GAP at (n={n}, k={k})")

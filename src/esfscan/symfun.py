@@ -41,6 +41,28 @@ from .theta import subset_size_bound
 ORACLE_BOUND = 20
 
 
+def _floor_b(n: int) -> int:
+    """floor of the upper end of the enclosure of b(n) = e*ln(n) + e."""
+    # int() truncates the exact upper endpoint, which is positive: its floor.
+    return int(subset_size_bound(n).b)
+
+
+@lru_cache(maxsize=None)
+def _cap_start(c: int) -> int:
+    """The least n >= 2 with _floor_b(n) >= c.
+
+    The float guess ceil(exp(c/e - 1)) only says where to start; the
+    enclosure decides each step, up while n does not qualify, then down
+    while n - 1 still does.
+    """
+    n = max(2, math.ceil(math.exp(c / math.e - 1)))
+    while _floor_b(n) < c:
+        n += 1
+    while n > 2 and _floor_b(n - 1) >= c:
+        n -= 1
+    return n
+
+
 @lru_cache(maxsize=None)
 def k_cap(n: int) -> int:
     """Largest subset size k that must be scanned at n.
@@ -57,11 +79,24 @@ def k_cap(n: int) -> int:
     drops positive terms (k <= n - 1 leaves one); step two holds since
     H_n^k, expanded, has k! * esf(n, k) among its nonnegative terms; then
     k! > (k/e)^k (from e^k > k^k/k!) and H_n <= 1 + integral_1^n dx/x.
+
+    The cap is read from its breakpoints, not from one enclosure per n:
+    it is the c with _cap_start(c) <= n < _cap_start(c + 1).  That is the
+    floor of the enclosure's upper end at n because that floor is
+    nondecreasing in n: b(n) rises by e*ln(1 + 1/n) > e/(n+1) per step,
+    far more than the enclosure's width (about 1e-37) for every n below
+    1e30, so the upper end rises too.  A float guess of the cap chooses
+    where to start; every verdict comes from the enclosure, and a run of
+    n with one cap costs its two breakpoints, about four enclosures.
     """
     if n < 2:
         raise ValueError("k_cap requires n >= 2")
-    # int() truncates the exact upper endpoint, which is positive: its floor.
-    return min(n - 1, int(subset_size_bound(n).b))
+    c = int(math.e * math.log(n) + math.e)
+    while _cap_start(c) > n:
+        c -= 1
+    while _cap_start(c + 1) <= n:
+        c += 1
+    return min(n - 1, c)
 
 
 @dataclass(frozen=True)

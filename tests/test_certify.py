@@ -1,6 +1,8 @@
 import bisect
 import dataclasses
+import hashlib
 import os
+import re
 
 import pytest
 
@@ -11,6 +13,7 @@ from esfscan.certify import (
     check_valuations,
     find_certificate,
     sample_certified_pairs,
+    window_violation,
     write_certificates,
 )
 from esfscan.symfun import k_cap
@@ -67,6 +70,18 @@ class TestCertificate:
         with pytest.raises(ValueError):
             Certificate(20, 1, 7)
 
+    def test_construction_raises_the_window_reason(self):
+        assert window_violation(100, 1, 47) is None
+        for n, k, p, reason in (
+            (10, 10, 3, "certificate requires 1 <= k < n, got k=10, n=10"),
+            (100, 1, 23, "p=23 at or below the window for (n=100, k=1)"),
+            (100, 1, 53, "p=53 above the window for (n=100, k=1)"),
+            (20, 1, 7, "p=7 does not exceed the threshold 11"),
+        ):
+            assert window_violation(n, k, p) == reason
+            with pytest.raises(ValueError, match=re.escape(reason)):
+                Certificate(n, k, p)
+
 
 class TestFindCertificate:
     def test_smallest_certified_n(self, table_5000):
@@ -105,14 +120,33 @@ class TestFindCertificate:
                 assert got == expected, (n, k)
 
 
-def test_every_certificate_settles_in_the_witness_kernel(table_50216):
+# sha256 of the certificate file for [13543, 50216], the whole certify leg.
+CERTS_FULL_SHA256 = "7549ed0219ebdc25eb8201180a45b77753098fa91957b2bc71413c79444142c9"
+
+
+@pytest.fixture(scope="module")
+def full_range(table_50216):
+    """The certify leg, [13543, 50216], certified once for this module."""
+    return certify_range(13543, 50216, table_50216)
+
+
+def test_full_range_file_is_pinned(full_range, tmp_path):
+    path = tmp_path / "certs.tsv"
+    write_certificates(str(path), full_range)
+    assert not full_range.gaps and full_range.pairs_checked == 1108410
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CERTS_FULL_SHA256
+
+
+def test_every_certificate_settles_in_the_witness_kernel(full_range):
     """A second verdict on the certify range: a certificate (n, k, p) is
     the J = k case of the witness lemma, so p must settle every omitted
     index at k.  There m = floor(n/p) >= k + 1 and settle_at reads n only
     through m, so one n per distinct (k, p, m) covers every certificate."""
+    assert not full_range.gaps
     first_n = {}
-    for c in certify_range(13543, 50216, table_50216).certificates:
-        first_n.setdefault((c.k, c.p, c.multiples_in_range), c.n)
+    for n, row in full_range.by_n():
+        for k, p in enumerate(row, 1):
+            first_n.setdefault((k, p, n // p), n)
     assert len(first_n) == 13363
     for (k, p, _), n in first_n.items():
         assert settle_at(n, p, {k: range(1, n + 1)}) == {}, (n, k, p)
@@ -122,7 +156,7 @@ class TestCertifyRange:
     def test_all_gaps_at_n4(self, table_5000):
         result = certify_range(4, 4, table_5000)
         assert result.gaps == ((4, 1), (4, 2), (4, 3))
-        assert not result.certificates
+        assert not list(result.certificates())
 
     def test_tiny_range_fully_gapped(self, table_5000):
         result = certify_range(2, 5, table_5000)
@@ -139,7 +173,7 @@ class TestCertifyRange:
     def test_pair_accounting(self, table_5000):
         result = certify_range(100, 140, table_5000)
         assert result.pairs_checked == sum(k_cap(n) for n in range(100, 141))
-        assert len(result.certificates) + len(result.gaps) == result.pairs_checked
+        assert len(list(result.certificates())) + len(result.gaps) == result.pairs_checked
 
     def test_rejects_bad_range(self, table_5000):
         with pytest.raises(ValueError):
@@ -169,8 +203,8 @@ class TestCertifyRange:
         before = path.read_bytes()
         good = certify_range(100, 110, table_5000)
         # Rendering the fourth certificate raises, after three lines are out.
-        broken = dataclasses.replace(good, certificates=(*good.certificates[:3], None))
-        with pytest.raises(AttributeError):
+        broken = dataclasses.replace(good, primes=(*good.primes[:3], "7", *good.primes[4:]))
+        with pytest.raises(TypeError):
             write_certificates(str(path), broken)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["certs.tsv"]

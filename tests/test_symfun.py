@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 from mpmath import mp
 
 from esfscan.rational import format_rational, is_integer, make_rational
 from esfscan.symfun import (
+    _cap_start,
     compute_omit,
     esf_closed_form,
     esf_oracle,
@@ -19,6 +21,7 @@ from esfscan.symfun import (
     omit_sweep,
     omit_values,
 )
+from esfscan.theta import subset_size_bound
 
 
 def rows_and_columns(n_max, cap):
@@ -92,8 +95,9 @@ class TestKCap:
 
     def test_independent_of_global_precision(self):
         # A coarse caller precision must neither change a cap nor leave a
-        # wrong one in the cache.
+        # wrong cap or breakpoint in the caches.
         k_cap.cache_clear()
+        _cap_start.cache_clear()
         try:
             with mp.workprec(8):
                 assert k_cap(191) == 16
@@ -102,6 +106,30 @@ class TestKCap:
             assert k_cap(191) == 16 and k_cap(23) == 11
         finally:
             k_cap.cache_clear()
+            _cap_start.cache_clear()
+
+
+def floor_b(n):
+    """The per-n cap before the n - 1 limit: one enclosure, its upper end's floor."""
+    return int(subset_size_bound(n).b)
+
+
+class TestCapBreakpoints:
+    def test_each_breakpoint_is_the_first_n_at_its_cap(self):
+        for c in range(1, 61):
+            start = _cap_start(c)
+            assert floor_b(start) >= c, c
+            assert start == 2 or floor_b(start - 1) < c, c
+
+    def test_matches_per_n_enclosure_around_breakpoints(self):
+        starts = [_cap_start(c) for c in range(1, 60)]
+        points = sorted({m for s in starts for m in (s - 1, s, s + 1) if m >= 2})
+        assert [m for m in points if k_cap(m) != min(m - 1, floor_b(m))] == []
+
+    def test_matches_per_n_enclosure_at_random_n(self):
+        rng = random.Random(14)
+        points = [rng.randrange(2, 10**9) for _ in range(300)]
+        assert [m for m in points if k_cap(m) != min(m - 1, floor_b(m))] == []
 
 
 class TestRowRecursion:
