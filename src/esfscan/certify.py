@@ -21,16 +21,25 @@ a <= k+2 have no prime factor above k+3 < p, 3k+8 < p, and
 
 A certificate is the triple (n, k, p) alone: the threshold and the
 multiple count floor(n/p) follow from it.  :func:`window_violation` is
-the one statement of the conditions above; :class:`Certificate` and
-:func:`certify_range` both ask it about every pair.  Window membership
-is decided by integer cross-multiplication only: the window boundaries
+the one statement of the conditions above.  Window membership is
+decided by integer cross-multiplication only: the window boundaries
 n/(k+1) and n/(k+3) can be hit exactly, and float rounding there could
 mis-certify.
 
-A :class:`CertifyResult` stores one integer per (n, k) pair, the
-certifying prime or 0 at a gap, in (n, k) order; objects and file lines
-are made from it on demand, and each line's tail after n is rendered
-once per distinct (k, p, floor(n/p)).
+:func:`certify_range` asks :func:`window_violation` once per run of n,
+not once per pair.  Fix k and p; every scanned pair has
+1 <= k <= k_cap(n) <= n - 1, so the domain check passes.  Then the verdict
+depends on n only through floor(n/p): (k+3)p <= n iff floor(n/p) >= k+3,
+(k+1)p > n iff floor(n/p) <= k, the last check reads floor(n/p) itself,
+and the threshold does not depend on n.  The candidate p, the largest
+prime <= n // (k+1), stays fixed for n in [(k+1)p, (k+1)q - 1], q the
+next prime; so each (k, p, floor(n/p)) is one contiguous run of n and
+takes one verdict, which holds for every pair in it.
+
+A :class:`CertifyResult` stores the certified runs (n_first, n_last, k, p)
+and the gap pairs; rows, objects and file lines are made from them on
+demand by one sweep over the run starts, and each run's line tail after
+n is rendered once.
 """
 
 from __future__ import annotations
@@ -40,13 +49,13 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .checkpoint import write_lines
 from .primes import PrimeTable
 # make_rational is unused here, but the benchmark's tracer rebinds it by this name.
 from .rational import make_rational, p_adic_valuation
-from .symfun import esf_rows, k_cap, omit_sweep
+from .symfun import _cap_start, esf_rows, k_cap, omit_sweep
 
 
 @lru_cache(maxsize=None)
@@ -117,25 +126,49 @@ def find_certificate(n: int, k: int, table: PrimeTable) -> Optional[Certificate]
 
 @dataclass(frozen=True)
 class CertifyResult:
-    """The certifying prime of every (n, k) pair, k = 1..k_cap(n), in
-    (n, k) order, with 0 at a gap; ``gaps`` lists the gap pairs."""
+    """The verdict on every (n, k) pair, n in [n_lo, n_hi], k = 1..k_cap(n).
+
+    ``runs`` holds the certified runs (n_first, n_last, k, p), sorted: p
+    certifies (n, k) for every n in [n_first, n_last].  ``gaps`` lists
+    the pairs no prime certifies, in (n, k) order.  Every pair lies in
+    exactly one run or gap.
+    """
 
     n_lo: int
     n_hi: int
-    primes: array
+    runs: Tuple[Tuple[int, int, int, int], ...]
     gaps: Tuple[Tuple[int, int], ...]
 
     @property
     def pairs_checked(self) -> int:
-        return len(self.primes)
+        return sum(last - first + 1 for first, last, _, _ in self.runs) + len(self.gaps)
+
+    def _sweep(self, cell: Callable[[int, int, int], object]) -> Iterator[Tuple[int, list, bool]]:
+        """(n, row, whether n has a gap) for each n in order.
+
+        row[k-1], k = 1..k_cap(n), is cell(n_first, k, p) of the run that
+        holds (n, k), or None at a gap.  A run or gap sets its column at
+        its first n, and the column keeps that value until the next one
+        starts, so one pass over the starts fills every row.
+        """
+        starts = [(first, k, p) for first, _, k, p in self.runs]
+        starts += [(n, k, 0) for n, k in self.gaps]
+        starts.sort()
+        row = [None] * k_cap(self.n_hi)
+        i = 0
+        for n in range(self.n_lo, self.n_hi + 1):
+            gapped = False
+            while i < len(starts) and starts[i][0] == n:
+                _, k, p = starts[i]
+                row[k - 1] = cell(n, k, p) if p else None
+                gapped = gapped or not p
+                i += 1
+            yield n, row[: k_cap(n)], gapped
 
     def by_n(self) -> Iterator[Tuple[int, array]]:
-        """(n, the primes at k = 1..k_cap(n)) for each n in order."""
-        j = 0
-        for n in range(self.n_lo, self.n_hi + 1):
-            cap = k_cap(n)
-            yield n, self.primes[j : j + cap]
-            j += cap
+        """(n, the primes at k = 1..k_cap(n), 0 at a gap) for each n in order."""
+        for n, row, _ in self._sweep(lambda n, k, p: p):
+            yield n, array("q", [p or 0 for p in row])
 
     def certificates(self) -> Iterator[Certificate]:
         """A validated :class:`Certificate` for every certified pair."""
@@ -148,49 +181,60 @@ class CertifyResult:
 def certify_range(n_lo: int, n_hi: int, table: PrimeTable) -> CertifyResult:
     """Attempt a certificate for every n in [n_lo, n_hi] and every scanned k.
 
-    The k range at each n is 1..k_cap(n) (always < n).  The candidate at
-    (n, k) is the largest prime <= n/(k+1), as in :func:`find_certificate`;
-    pairs it does not certify are reported as gaps.
+    The k range at each n is 1..k_cap(n) (always < n), so column k starts
+    at n = max(n_lo, k+1, _cap_start(k)).  The candidate at (n, k) is the
+    largest prime <= n/(k+1), as in :func:`find_certificate`, or 0 where
+    there is none, which the window refuses.  Each column is walked one
+    run of constant (p, floor(n/p)) at a time, and one
+    :func:`window_violation` verdict settles the whole run (see the
+    module docstring); the pairs of a refused run are reported as gaps.
     """
     if not 2 <= n_lo <= n_hi:
         raise ValueError(f"need 2 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     if n_hi > table.limit:
         raise ValueError(f"prime table limit {table.limit} < n_hi={n_hi}")
-    # largest[x] is the largest prime <= x for every x = n // (k+1), or 0
-    # where there is none, which the window refuses.
+    # primes[j+1] exists whenever primes[j] <= n // (k+1) <= n_hi / 2: by
+    # Bertrand's postulate the next prime lies below n_hi <= table.limit.
     primes = (0, *table.primes)
-    largest = [primes[bisect_right(primes, x) - 1] for x in range(n_hi // 2 + 1)]
-    found = array("q")
+    runs: List[Tuple[int, int, int, int]] = []
     gaps: List[Tuple[int, int]] = []
-    for n in range(n_lo, n_hi + 1):
-        for k in range(1, k_cap(n) + 1):
-            p = largest[n // (k + 1)]
-            if window_violation(n, k, p) is not None:
-                p = 0
-                gaps.append((n, k))
-            found.append(p)
-    return CertifyResult(n_lo=n_lo, n_hi=n_hi, primes=found, gaps=tuple(gaps))
+    for k in range(1, k_cap(n_hi) + 1):
+        n = max(n_lo, k + 1, _cap_start(k))
+        j = bisect_right(primes, n // (k + 1)) - 1
+        while n <= n_hi:
+            p = primes[j]
+            p_last = min(n_hi, (k + 1) * primes[j + 1] - 1)
+            while n <= p_last:
+                last = min(p_last, (n // p + 1) * p - 1) if p else p_last
+                if window_violation(n, k, p) is None:
+                    runs.append((n, last, k, p))
+                else:
+                    gaps.extend((m, k) for m in range(n, last + 1))
+                n = last + 1
+            j += 1
+    runs.sort()
+    gaps.sort()
+    return CertifyResult(n_lo=n_lo, n_hi=n_hi, runs=tuple(runs), gaps=tuple(gaps))
 
 
 def certificate_lines(result: CertifyResult) -> Iterable[str]:
     """Render the certificate list format: one tab-separated line per
     certificate (n, k, p, threshold, floor(n/p)); gap lines prefixed GAP.
 
-    Everything after n depends on (k, p, floor(n/p)) alone, so that tail
-    is rendered once per distinct key.
+    Everything after n is constant on a run, so each run's tail is
+    rendered once, and an n without a gap is one item of LF-joined lines.
     """
-    tails = {}
-    for n, row in result.by_n():
+
+    def tail(n: int, k: int, p: int) -> str:
+        return f"{k}\t{p}\t{certificate_threshold(k)}\t{n // p}"
+
+    for n, tails, gapped in result._sweep(tail):
         head = f"{n}\t"
-        for k, p in enumerate(row, 1):
-            if not p:
-                yield f"GAP\t{n}\t{k}"
-                continue
-            key = k, p, n // p
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = f"{k}\t{p}\t{certificate_threshold(k)}\t{key[2]}"
-            yield head + tail
+        if not gapped:
+            yield head + f"\n{head}".join(tails)
+            continue
+        for k, t in enumerate(tails, 1):
+            yield f"GAP\t{n}\t{k}" if t is None else head + t
 
 
 def write_certificates(path: str, result: CertifyResult) -> None:
@@ -246,7 +290,8 @@ def sample_certified_pairs(
     table: PrimeTable, n_max: int, count: int, seed: int = 2024
 ) -> List[Tuple[int, int]]:
     """Deterministically sample ``count`` certified (n, k) pairs with n <= n_max."""
-    certified = [(c.n, c.k) for c in certify_range(2, n_max, table).certificates()]
+    result = certify_range(2, n_max, table)
+    certified = [(n, k) for n, row in result.by_n() for k, p in enumerate(row, 1) if p]
     if len(certified) < count:
         raise ValueError(f"only {len(certified)} certified pairs below {n_max}")
     rng = random.Random(seed)

@@ -61,8 +61,13 @@ class CheckpointRecord:
 
 
 def write_lines(path: str, lines: Iterable[str]) -> None:
-    """Stream the lines, LF-terminated and never joined, to ``path + ".tmp"``,
-    fsync it and rename it over path; on failure path is left as it was."""
+    """Stream the items to ``path + ".tmp"``, fsync it and rename it over
+    path; on failure path is left as it was.
+
+    An item is one line or several LF-joined lines, and each item gets
+    one trailing LF.  Items are written one at a time, never joined into
+    the whole file.
+    """
     tmp = path + TMP_SUFFIX
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:

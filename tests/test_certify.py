@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import esfscan.certify as certify_module
 from esfscan.certify import (
     Certificate,
     certificate_threshold,
@@ -141,15 +142,48 @@ def test_every_certificate_settles_in_the_witness_kernel(full_range):
     """A second verdict on the certify range: a certificate (n, k, p) is
     the J = k case of the witness lemma, so p must settle every omitted
     index at k.  There m = floor(n/p) >= k + 1 and settle_at reads n only
-    through m, so one n per distinct (k, p, m) covers every certificate."""
+    through m, and m is constant on a run, so the first n of each run
+    covers every certificate in it."""
     assert not full_range.gaps
-    first_n = {}
-    for n, row in full_range.by_n():
-        for k, p in enumerate(row, 1):
-            first_n.setdefault((k, p, n // p), n)
-    assert len(first_n) == 13363
-    for (k, p, _), n in first_n.items():
+    assert len(full_range.runs) == 13363
+    for n, _, k, p in full_range.runs:
         assert settle_at(n, p, {k: range(1, n + 1)}) == {}, (n, k, p)
+
+
+def test_one_window_verdict_per_run(table_50216, monkeypatch):
+    calls = []
+
+    def counted(n, k, p):
+        calls.append((n, k, p))
+        return window_violation(n, k, p)
+
+    monkeypatch.setattr(certify_module, "window_violation", counted)
+    result = certify_range(13543, 50216, table_50216)
+    assert len(calls) == len(result.runs) == 13363
+    assert result.pairs_checked == 1108410 and not result.gaps
+
+
+def per_pair_verdicts(n_lo, n_hi, table):
+    """The window check asked about every pair, with the candidate
+    largest prime <= n // (k+1), or 0 where there is none."""
+    primes, gaps = [], []
+    for n in range(n_lo, n_hi + 1):
+        for k in range(1, k_cap(n) + 1):
+            p = table.largest_leq(n // (k + 1)) or 0
+            if window_violation(n, k, p) is not None:
+                p = 0
+                gaps.append((n, k))
+            primes.append(p)
+    return primes, gaps
+
+
+@pytest.mark.parametrize("n_lo, n_hi", [(2, 3000), (13543, 13842), (49917, 50216)])
+def test_runs_match_the_per_pair_check(table_50216, n_lo, n_hi):
+    result = certify_range(n_lo, n_hi, table_50216)
+    primes, gaps = per_pair_verdicts(n_lo, n_hi, table_50216)
+    assert [p for _, row in result.by_n() for p in row] == primes
+    assert list(result.gaps) == gaps
+    assert result.pairs_checked == len(primes)
 
 
 class TestCertifyRange:
@@ -202,8 +236,10 @@ class TestCertifyRange:
         write_certificates(str(path), certify_range(25, 26, table_5000))
         before = path.read_bytes()
         good = certify_range(100, 110, table_5000)
-        # Rendering the fourth certificate raises, after three lines are out.
-        broken = dataclasses.replace(good, primes=(*good.primes[:3], "7", *good.primes[4:]))
+        # The run (106, 110, 1, 53) with p = "7" makes rendering raise at
+        # n = 106, after the lines of n = 100..105 are out.
+        runs = [(*run[:3], "7") if run[0] == 106 else run for run in good.runs]
+        broken = dataclasses.replace(good, runs=tuple(runs))
         with pytest.raises(TypeError):
             write_certificates(str(path), broken)
         assert path.read_bytes() == before
@@ -230,6 +266,12 @@ class TestSampling:
         assert a == b and len(a) == 20
         for n, k in a:
             assert find_certificate(n, k, table_5000) is not None
+
+    def test_acceptance_sample_is_pinned(self, table_50216):
+        # The 200 pairs acceptance criterion 07 checks.
+        pairs = sample_certified_pairs(table_50216, n_max=2000, count=200, seed=2024)
+        digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+        assert digest == "bd680ed27baa5428568a43cdf2dce09a00df83cdd73e3aa7ae19dd3e2e31a78d"
 
     def test_rejects_oversized_request(self, table_5000):
         with pytest.raises(ValueError):
