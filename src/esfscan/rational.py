@@ -1,11 +1,15 @@
-"""Exact reduced-fraction arithmetic and p-adic valuations.
+"""Exact rationals at the package's edges, and p-adic valuations.
 
-All rational values in this package are kept in canonical form at all
-times: gcd(|numerator|, denominator) == 1, denominator >= 1, and zero is
+The exact recursions of :mod:`esfscan.symfun` run in integers scaled by
+n!, with no rational arithmetic; a rational value is made only where one
+is read or written: the rows' value views and ``omit_sweep`` (for the
+scan's exact fallback, ``esfscan value`` and the tests), the checkpoint's
+hits and the enumeration oracles.  Every such value is canonical:
+gcd(|numerator|, denominator) == 1, denominator >= 1, and zero is
 represented uniquely as 0/1.  The backing type is the standard library's
 ``fractions.Fraction``, which canonicalizes eagerly after every
 operation and keeps the sign in the numerator, so the invariants above
-hold for free.
+hold for free.  :func:`int_valuation` serves the integer side.
 
 Values are immutable and safe to share across worker processes.
 """

@@ -7,23 +7,36 @@ Two families of values are computed here:
 * the omit-one value ``omit(n, i, k)``: the same with 1/i removed from
   the set, defined for 1 <= i <= n and 1 <= k < n.
 
-The production path is the pair of recursions
+The production path runs in integers scaled by n!: n! * esf(n, k) is an
+integer (the unsigned Stirling number [n+1, k+1]) and so is
+n! * omit(n, i, k).  The pair of recursions
 
     esf(n, k)     = esf(n-1, k) + (1/n) * esf(n-1, k-1)
     omit(n, i, k) = esf(n, k) - (1/i) * omit(n, i, k-1)
 
-driven by a rolling row of full-set values and seeded at k = 1 by
-omit(n, i, 1) = harmonic(n) - 1/i, the row's first entry minus 1/i.
-:func:`omit_sweep` is the one way to an omit-one value: it forms that
-seed and runs the k-recursion for every 1 <= i <= n, i = n included.
-The shortcut omit(n, n, k) = esf(n-1, k) is not a code path; it is an
-identity the tests check the sweep against.  The k = 1 column recursion
+times n! becomes
+
+    scaled(n, k) = n * scaled(n-1, k) + scaled(n-1, k-1)
+    C_k          = scaled(n, k) - C_{k-1} / i,   C_0 = n!,
+
+with small multipliers, exact divisions and no gcd.  A rolling row of
+scaled(n, k) drives :func:`omit_scaled`, the one copy of the
+k-recursion; its first step is the seed omit(n, i, 1) = harmonic(n) - 1/i.
+It runs for every 1 <= i <= n, i = n included.  The shortcut
+omit(n, n, k) = esf(n-1, k) is not a code path; it is an identity the
+tests check the sweep against.  The k = 1 column recursion
 omit(n, i, 1) = omit(n-1, i, 1) + 1/n is kept as an independent check
-of the seed.  Independent oracles (polynomial expansion for the full
-set, direct subset enumeration for omit-one) and the closed forms for
-n = k+1 and n = k+2 are provided for cross-checking; they share no code
-with the recursion path.  The subset-size cap :func:`k_cap` is an
-interval bound at the one working precision of :mod:`esfscan.theta`.
+of the seed.  Fractions appear only at the edges: the row's ``value``,
+``values`` and ``harmonic`` views and :func:`omit_sweep` divide by n!
+for the scan's exact fallback, ``esfscan value`` and the tests, while
+``certify.check_valuations`` reads valuations off the integers.
+
+Independent oracles (polynomial expansion for the full set, direct
+subset enumeration for omit-one) and the closed forms for n = k+1 and
+n = k+2 are provided for cross-checking; they work in fractions and
+share no code with the recursion path.  The subset-size cap
+:func:`k_cap` is an interval bound at the one working precision of
+:mod:`esfscan.theta`.
 """
 
 from __future__ import annotations
@@ -101,50 +114,56 @@ def k_cap(n: int) -> int:
 
 @dataclass(frozen=True)
 class EsfRow:
-    """Full-set values at a fixed n: values[j] = esf(n, j+1), j+1 <= min(n, cap).
+    """Full-set values at a fixed n, scaled by n!: scaled[k] = n! * esf(n, k).
 
-    Rows are immutable; advancing allocates a fresh row, so a row may be
+    k runs over 0..min(n, cap), so scaled[0] = n!.  Every entry is an
+    integer, the unsigned Stirling number [n+1, k+1]: each 1/prod(T) in
+    esf(n, k) has prod(T) dividing n!.  ``value``, ``values`` and
+    ``harmonic`` are the exact rational views of the same entries.  Rows
+    are immutable; advancing allocates a fresh row, so a row may be
     shared read-only across workers.
     """
 
     n: int
     cap: int
-    values: Tuple[Rational, ...]
+    scaled: Tuple[int, ...]
 
     def value(self, k: int) -> Rational:
         """esf(self.n, k) for 1 <= k <= min(n, cap)."""
-        if not 1 <= k <= len(self.values):
+        if not 1 <= k < len(self.scaled):
             raise ValueError(f"k={k} outside stored row for n={self.n}")
-        return self.values[k - 1]
+        return make_rational(self.scaled[k], self.scaled[0])
+
+    @property
+    def values(self) -> Tuple[Rational, ...]:
+        """(esf(n, 1), ..., esf(n, min(n, cap)))."""
+        return tuple(make_rational(s, self.scaled[0]) for s in self.scaled[1:])
 
     @property
     def harmonic(self) -> Rational:
-        return self.values[0]
+        return self.value(1)
 
 
 def esf_row_start(cap: int) -> EsfRow:
-    """The n = 1 row: the single value esf(1, 1) = 1."""
+    """The n = 1 row: 1! * esf(1, 0) = 1! * esf(1, 1) = 1."""
     if cap < 1:
         raise ValueError("row cap must be >= 1")
-    return EsfRow(n=1, cap=cap, values=(make_rational(1),))
+    return EsfRow(n=1, cap=cap, scaled=(1, 1))
 
 
 def esf_row_advance(prev: EsfRow) -> EsfRow:
     """Row for n = prev.n + 1 from the row for prev.n.
 
-    The k = n entry (present while n <= cap) is seeded through the
-    convention esf(n-1, n) = 0, so a single update rule covers both the
-    interior and the diagonal.
+    esf(n, k) = esf(n-1, k) + (1/n) * esf(n-1, k-1), times n!, is
+    scaled[k] = n * prev.scaled[k] + prev.scaled[k-1].  The k = n entry
+    (present while n <= cap) is seeded through the convention
+    esf(n-1, n) = 0, and k = 0 through esf(n-1, -1) = 0, so a single
+    update rule covers the interior and both ends.
     """
     n = prev.n + 1
-    r_n = make_rational(1, n)
-    width = min(n, prev.cap)
-    old = prev.values
-    vals = [old[0] + r_n]
-    for k in range(2, width + 1):
-        above = old[k - 1] if k <= len(old) else 0
-        vals.append(old[k - 2] * r_n + above)
-    return EsfRow(n=n, cap=prev.cap, values=tuple(vals))
+    old = prev.scaled
+    scaled = tuple(n * a + b for a, b in zip(old + (0,), (0,) + old))
+    return EsfRow(n=n, cap=prev.cap, scaled=scaled[: min(n, prev.cap) + 1])
 
 
 def esf_rows(n_target: int, cap: int) -> Iterator[EsfRow]:
@@ -188,26 +207,36 @@ def omit_first_column_advance(prev: OmitFirstColumn, prev_row: EsfRow) -> OmitFi
     return OmitFirstColumn(n=n, values=tuple(vals))
 
 
-def omit_sweep(row: EsfRow, i: int, k_max: int) -> List[Rational]:
-    """[omit(n, i, 1), ..., omit(n, i, k_max)] at n = row.n, for 1 <= i <= n.
+def omit_scaled(row: EsfRow, i: int, k_max: int) -> List[int]:
+    """[C_1, ..., C_k_max], C_k = n! * omit(n, i, k) at n = row.n, 1 <= i <= n.
 
-    The seed is omit(n, i, 1) = harmonic(n) - 1/i (at i = n that is
-    harmonic(n-1)); every further value is
-    omit(n, i, k) = esf(n, k) - (1/i) * omit(n, i, k-1).  This is the one
-    copy of the k-recursion and the only way to an omit-one value: the
-    scan, the valuation check and the value helpers below all call it.
+    The recursion omit(n, i, k) = esf(n, k) - (1/i) * omit(n, i, k-1),
+    times n!, is C_k = row.scaled[k] - C_{k-1} / i from C_0 = n!
+    (omit(n, i, 0) = 1); its first step is the seed
+    omit(n, i, 1) = harmonic(n) - 1/i.  This is the one copy of the
+    k-recursion: the scan, the valuation check and the value helpers all
+    reach it.
+
+    The division is exact.  C_{k-1} / i = (n!/i) * omit(n, i, k-1) is
+    the sum over (k-1)-subsets T of {1..n} minus {i} of (n!/i) / prod(T),
+    and each prod(T) divides the product of all of {1..n} minus {i},
+    which is n!/i; so every term, and C_{k-1} / i, is an integer
+    (T empty gives n!/i itself).
     """
     if not 1 <= i <= row.n:
         raise ValueError(f"omitted index i={i} out of range for n={row.n}")
-    if not 1 <= k_max <= len(row.values):
+    if not 1 <= k_max < len(row.scaled):
         raise ValueError(f"k_max={k_max} outside stored row for n={row.n}")
-    r_i = make_rational(1, i)
-    acc = row.harmonic - r_i
-    values = [acc]
-    for e_k in row.values[1:k_max]:
-        acc = e_k - acc * r_i
+    acc, values = row.scaled[0], []
+    for s_k in row.scaled[1 : k_max + 1]:
+        acc = s_k - acc // i
         values.append(acc)
     return values
+
+
+def omit_sweep(row: EsfRow, i: int, k_max: int) -> List[Rational]:
+    """[omit(n, i, 1), ..., omit(n, i, k_max)]: :func:`omit_scaled` over n!."""
+    return [make_rational(c, row.scaled[0]) for c in omit_scaled(row, i, k_max)]
 
 
 def omit_values(

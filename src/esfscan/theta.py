@@ -221,9 +221,22 @@ def case1_margin(n: int) -> MarginReport:
     e(6b+16) - (b+3)(3b+7) < 0 for b >= 4; so n, of slope 1, stays above
     them.  The window bottom n/(b+3) has derivative (b+3-e)/(b+3)^2 > 0,
     so it only grows from its value 1429.004 at n = 50217; this is the
-    condition that binds.  ``tests/test_theta.py`` checks these bounds in
-    interval arithmetic.  The check is at the worst case k = b(n); that
-    each fact carries down to every integer k < b is not proved here.
+    condition that binds.
+
+    The check at the worst case k = b covers every smaller k.  At subset
+    size k the margin is (n/(k+1)) * (2/(k+3) - 0.355/ln(n/(k+3))).  As k
+    falls, 2/(k+3) rises and ln(n/(k+3)) rises, so the bracket rises; the
+    prefactor n/(k+1) rises too, so a positive margin only grows.  The
+    window bottom n/(k+3) rises, and the thresholds (k+3)(3k+8) and
+    (k+2)(k+3)^2/2 fall, so all four facts hold at every real k <= b.
+    The check runs on the whole enclosure of b, whose upper end is at
+    least k_cap(n), so at a checked n it covers every integer
+    k <= k_cap(n).  At a larger n, an integer k in (b, k_cap(n)] (one
+    exists only when the enclosure of b(n) reaches an integer) needs no
+    window: k > e(ln n + 1), so omit(n, i, k) < 1 by the bound in the
+    ``symfun.k_cap`` docstring.  ``tests/test_theta.py`` checks these
+    bounds in interval arithmetic, and the four facts at every integer
+    k <= k_cap(n) for four n.
     """
     if n < MARGIN_N_MIN:
         raise ValueError(f"margin check applies for n >= {MARGIN_N_MIN}, got {n}")

@@ -28,7 +28,12 @@ and e_t(1/units) = e_t(1/T) mod p for t < p - 1.  Taking away a unit i
 divides by (1 + x/i), which is the recursion
 E_i(t) = E(t) - i^-1 * E_i(t-1); and e_j(1/A_i) for A_i = {1..m} minus
 {a} is the same recursion on e_j(1/1, ..., 1/m).  A unit i has
-A_i = {1..m}; a multiple i = p*a has R_i = all units.
+A_i = {1..m}; a multiple i = p*a has R_i = all units.  :func:`_esf` and
+:func:`_omit_one` are the F_p images of the two exact recursions of
+:mod:`esfscan.symfun`: e_t(X + {x}) = e_t(X) + x * e_{t-1}(X) for the
+row and E_i(t) = E(t) - x * E_i(t-1) for one index taken away, with x
+the residue of a reciprocal.  symfun runs them on n! * e_t in the
+integers; here they run on e_t itself mod p.
 
 **Where the work goes.**  For k <= m and a unit i, J = k and the unit
 factor is e_0 = 1: the claim is e_k(1/1, ..., 1/m) != 0 mod p, the same

@@ -18,6 +18,7 @@ from esfscan.symfun import (
     omit_first_column_advance,
     omit_first_column_start,
     omit_oracle,
+    omit_scaled,
     omit_sweep,
     omit_values,
 )
@@ -165,6 +166,28 @@ class TestRowRecursion:
         for row in esf_rows(300, cap=1):
             if row.n >= 2:
                 assert not is_integer(row.harmonic)
+
+
+class TestScaledKernel:
+    def test_exact_division_lemma(self):
+        # omit_scaled divides C_{k-1} = n! * omit(n, i, k-1) by i with //;
+        # the lemma in its docstring says that division is exact.
+        checked = 0
+        for row in esf_rows(60, cap=k_cap(60)):
+            n = row.n
+            assert row.scaled[0] == math.factorial(n)
+            if n <= 20:
+                for k in range(1, len(row.scaled)):
+                    assert row.scaled[k] == esf_oracle(n, k) * math.factorial(n), (n, k)
+            if n < 2:
+                continue
+            mk = min(n - 1, k_cap(n))
+            for i in range(1, n + 1):
+                c = [row.scaled[0], *omit_scaled(row, i, mk)]
+                for k in range(1, mk + 1):
+                    assert c[k - 1] % i == 0, (n, i, k)
+                    checked += 1
+        assert checked == sum(n * min(n - 1, k_cap(n)) for n in range(2, 61))
 
 
 class TestOmitRecursion:

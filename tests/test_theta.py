@@ -3,6 +3,7 @@ import math
 import pytest
 from mpmath import iv, mp, mpf
 
+from esfscan.symfun import k_cap
 from esfscan.theta import (
     MARGIN_N_MIN,
     PRECISION_BITS,
@@ -128,6 +129,24 @@ class TestMargin:
             assert mpf((b + 3 - e).a) > 0
             bottom = n / (b + 3)
             assert THETA_BOUND_X_MIN + 0.0039 < mpf(bottom.a) < mpf(bottom.b) < 1429.004
+
+    @pytest.mark.parametrize("n", [MARGIN_N_MIN, 10**5, 10**6, 10**9])
+    def test_check_at_b_covers_every_k_up_to_the_cap(self, n):
+        # The case1_margin docstring carries its four facts from k = b down
+        # to every integer k <= k_cap(n); check each of them at each such k.
+        report = case1_margin(n)
+        margins = []
+        with working_precision():
+            n_iv, c355 = iv.mpf(n), iv.mpf(355) / 1000
+            for k in range(1, k_cap(n) + 1):
+                margin = (n_iv / (k + 1)) * (2 / iv.mpf(k + 3) - c355 / iv.log(n_iv / (k + 3)))
+                margins.append((mpf(margin.a), mpf(margin.b)))
+                assert n > (k + 3) * (3 * k + 8) and 2 * n > (k + 2) * (k + 3) ** 2, k
+                assert n >= THETA_BOUND_X_MIN * (k + 3), k  # window bottom n/(k+3)
+        # The margin falls as k rises, and its least value over k is still
+        # at least the one at b.
+        assert all(hi_next < lo for (lo, _), (_, hi_next) in zip(margins, margins[1:]))
+        assert margins[-1][0] >= report.margin_lo > 0
 
     def test_report_independent_of_global_precision(self):
         # The enclosure and the midpoint must not be rounded at mp.prec.
