@@ -1,19 +1,25 @@
 """Chebyshev prime-log sums and the analytic-case inequality checks.
 
 Everything here evaluates strict inequalities that are claimed to hold
-exactly, so plain floating point is not good enough: all arithmetic runs
-in mpmath interval arithmetic (outward-rounded enclosures), which gives
-directed rounding and explicit error accounting in one mechanism.  A
-check passes only when it holds between opposing interval endpoints, so
-a reported pass is rigorous at the stated precision.
+exactly, so plain floating point is not good enough.  The trust base is
+mpmath's outward-rounded logarithm (``mpmath.libmp.mpi_log``, the
+routine behind ``iv.log``): the theta checks take one enclosure of ln x
+per point from it, turn it into fixed-point integers l <= 2^F ln x <= u
+with F = ``PRECISION_BITS`` (floor and ceiling), and from there on run in
+exact integer arithmetic: the prime-log sum is a pair of integer sums
+and every check is one integer inequality.  The margin check and the
+subset-size bound b(n) run in mpmath interval arithmetic (outward-rounded
+enclosures).  A check passes only when it holds between opposing
+endpoints, so a reported pass is rigorous at the stated precision.
 
-There is one working precision, ``PRECISION_BITS`` = 128 mantissa
-bits, and every report states it.  Every function here (``symfun.k_cap``
+There is one working precision, ``PRECISION_BITS`` = 128 bits, and every
+report states it.  Every interval evaluation here (``symfun.k_cap``
 reads b(n) from :func:`subset_size_bound`) runs in one precision scope,
 :func:`working_precision`, which sets the interval and the point
 precision together and restores both, so endpoint conversions, slacks
-and midpoints never depend on the caller's global mpmath precision.  No
-other code in the package sets an mpmath precision.
+and midpoints never depend on the caller's global mpmath precision; the
+log enclosures pass the precision to ``mpi_log`` explicitly.  No other
+code in the package sets an mpmath precision.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
-from mpmath import iv, mp, mpf
+from mpmath import iv, libmp, mp, mpf
 
 from .primes import PrimeTable
 
@@ -68,20 +74,34 @@ def subset_size_bound(n: int) -> iv.mpf:
         return iv.e * iv.log(iv.mpf(n)) + iv.e
 
 
-def _prime_log_sum(x: float, table: PrimeTable) -> iv.mpf:
-    """The enclosure of the sum of ln p over primes p <= x; call under working_precision()."""
-    return sum((iv.log(iv.mpf(p)) for p in table.primes[: table.index_gt(x)]), iv.mpf(0))
+def _log_fixed(x: float) -> Tuple[int, int]:
+    """Integers l <= 2^F ln x <= u, F = PRECISION_BITS, from mpmath's outward-rounded log.
+
+    x (an int or a float) is an exact dyadic rational, so the point
+    interval [x, x] is exact; ``mpi_log`` rounds its ends down and up at
+    F bits, and the fixed-point conversion floors l and ceils u.
+    """
+    a, d = x.as_integer_ratio()
+    if d & (d - 1):
+        raise ValueError(f"x={x} is not a dyadic rational")
+    point = libmp.from_man_exp(a, 1 - d.bit_length())
+    lo, hi = libmp.mpi_log((point, point), PRECISION_BITS)
+    return libmp.to_fixed(lo, PRECISION_BITS), -libmp.to_fixed(libmp.mpf_neg(hi), PRECISION_BITS)
+
+
+def _prime_log_sum(x: float, table: PrimeTable) -> Tuple[int, int]:
+    """Integers A_lo <= 2^F theta(x) <= A_hi: the sums of the ln p enclosures over primes p <= x."""
+    logs = [_log_fixed(p) for p in table.primes[: table.index_gt(x)]]
+    return sum(lo for lo, _ in logs), sum(hi for _, hi in logs)
 
 
 def theta(x: float, table: PrimeTable) -> ThetaValue:
     """Sum of ln p over primes p <= x, with a rigorous error bound."""
     if x > table.limit:
         raise ValueError(f"x={x} beyond prime table limit {table.limit}")
-    with working_precision():
-        acc = _prime_log_sum(x, table)
-        mid = (mpf(acc.a) + mpf(acc.b)) / 2
-        width = float(mpf(acc.delta.b))
-    return ThetaValue(value=mid, error_bound=width, precision_bits=PRECISION_BITS)
+    lo, hi = _prime_log_sum(x, table)
+    mid = mp.make_mpf(libmp.from_man_exp(lo + hi, -PRECISION_BITS - 1))  # exact
+    return ThetaValue(mid, (hi - lo) / 2**PRECISION_BITS, PRECISION_BITS)
 
 
 @dataclass(frozen=True)
@@ -110,6 +130,30 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
     jump at p) and the lower bound at the right end (the left limit at
     the next prime q).  Checking those two points at every prime in
     range, plus the interval endpoints, covers every real x in between.
+
+    Each check is one exact integer inequality.  Write F = PRECISION_BITS,
+    x = a/d (x is an int or a float, so a dyadic rational) and c = cn/cd
+    for either coefficient; both are positive.  Every prime's log comes
+    as integers l_p <= 2^F ln p <= u_p (:func:`_log_fixed` floors the
+    lower end and ceils the upper end of an outward-rounded enclosure),
+    and the integer sums A_lo = sum l_p and A_hi = sum u_p add no
+    rounding, so A_lo <= 2^F theta <= A_hi on the plateau.  With
+    u = u_x >= 2^F ln x > 0 we have 1/ln x >= 2^F/u, hence
+
+        x - c x/ln x <= (a/d)(1 - c 2^F/u),   x + c x/ln x >= (a/d)(1 + c 2^F/u).
+
+    So the lower bound holds if A_lo/2^F exceeds the first right-hand
+    side and the upper bound holds if A_hi/2^F is below the second.
+    Multiplied by the positive cd 2^F u d these read
+
+        lower:  cd A_lo u d > 2^F a (cd u - cn 2^F),
+        upper:  2^F a (cd u + cn 2^F) > cd A_hi u d.
+
+    Only u_x is read: the lower curve rises and the upper curve falls as
+    ln x grows, so an upper end of ln x bounds the lower curve from above
+    and the upper curve from below, the sides each check needs.  A slack
+    is the difference of the two sides over cd 2^F u d, a lower bound on
+    the true slack, rounded once to the nearest float.
     """
     # Stated positively, so a NaN bound fails it too.
     if not THETA_BOUND_X_MIN <= x_lo <= x_hi <= table.limit:
@@ -117,50 +161,43 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
             f"need {THETA_BOUND_X_MIN} <= x_lo <= x_hi <= {table.limit} (the prime table"
             f" limit), got [{x_lo}, {x_hi}]"
         )
+    F = PRECISION_BITS
     failures: List[Tuple[float, str]] = []
-    min_slack = {"lower": mpf("inf"), "upper": mpf("inf")}
-    checks = 0
-    with working_precision():
-        c_lo = iv.mpf(_LOWER_COEFF[0]) / _LOWER_COEFF[1]
-        c_hi = iv.mpf(_UPPER_COEFF[0]) / _UPPER_COEFF[1]
+    min_slack = {"lower": float("inf"), "upper": float("inf")}
 
-        def check(x, log_x, acc, side):
-            # The lower curve must lie below the enclosure `acc` of theta on the
-            # plateau whose closure contains x, the upper curve above it; the
-            # verdict compares opposing endpoints exactly.  `log_x` encloses ln x.
-            nonlocal checks
-            xi = iv.mpf(x)
-            if side == "lower":
-                lo, hi = mpf(acc.a), mpf((xi - c_lo * xi / log_x).b)
-            else:
-                lo, hi = mpf((xi + c_hi * xi / log_x).a), mpf(acc.b)
-            checks += 1
-            min_slack[side] = min(min_slack[side], lo - hi)
-            if not lo > hi:
-                failures.append((float(x), side))
+    def check(x, u_x, acc, side):
+        # The lower curve must lie below the enclosure `acc` = (A_lo, A_hi)
+        # of 2^F theta on the plateau whose closure contains x, the upper
+        # curve above it.  `u_x` >= 2^F ln x.
+        a, d = x.as_integer_ratio()
+        cn, cd = _LOWER_COEFF if side == "lower" else _UPPER_COEFF
+        if side == "lower":
+            num = cd * acc[0] * u_x * d - (a << F) * (cd * u_x - (cn << F))
+        else:
+            num = (a << F) * (cd * u_x + (cn << F)) - cd * acc[1] * u_x * d
+        min_slack[side] = min(min_slack[side], num / (cd * u_x * d << F))
+        if not num > 0:
+            failures.append((float(x), side))
 
-        in_range = table.primes[table.index_gt(x_lo) : table.index_gt(x_hi)]
-        acc = _prime_log_sum(x_lo, table)
-        # Both bounds at x_lo itself.
-        log_x = iv.log(iv.mpf(x_lo))
-        check(x_lo, log_x, acc, "lower")
-        check(x_lo, log_x, acc, "upper")
-        for p in in_range:
-            log_p = iv.log(iv.mpf(p))  # serves both checks at p and the jump
-            check(p, log_p, acc, "lower")  # left limit at p: x -> p from below
-            acc += log_p
-            check(p, log_p, acc, "upper")  # right after the jump at p
-        check(x_hi, iv.log(iv.mpf(x_hi)), acc, "lower")
-        max_width = float(mpf(acc.delta.b))
+    in_range = table.primes[table.index_gt(x_lo) : table.index_gt(x_hi)]
+    acc = _prime_log_sum(x_lo, table)
+    for side in ("lower", "upper"):  # both bounds at x_lo itself
+        check(x_lo, _log_fixed(x_lo)[1], acc, side)
+    for p in in_range:
+        l_p, u_p = _log_fixed(p)  # serves both checks at p and the jump
+        check(p, u_p, acc, "lower")  # left limit at p: x -> p from below
+        acc = (acc[0] + l_p, acc[1] + u_p)
+        check(p, u_p, acc, "upper")  # right after the jump at p
+    check(x_hi, _log_fixed(x_hi)[1], acc, "lower")
     return ThetaBoundsReport(
         x_lo=float(x_lo),
         x_hi=float(x_hi),
         precision_bits=PRECISION_BITS,
         primes_checked=len(in_range),
-        checks=checks,
-        min_lower_slack=float(min_slack["lower"]),
-        min_upper_slack=float(min_slack["upper"]),
-        max_enclosure_width=max_width,
+        checks=2 * len(in_range) + 3,
+        min_lower_slack=min_slack["lower"],
+        min_upper_slack=min_slack["upper"],
+        max_enclosure_width=(acc[1] - acc[0]) / 2**F,
         failures=tuple(failures),
     )
 

@@ -1,4 +1,7 @@
+import importlib
 import math
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 from mpmath import iv, mp, mpf
@@ -13,8 +16,54 @@ from esfscan.theta import (
     precision_bits,
     subset_size_bound,
     theta,
+    _log_fixed,
     working_precision,
 )
+
+# The package re-exports the function theta(), which shadows the module name.
+theta_module = importlib.import_module("esfscan.theta")
+REFERENCE_BITS = 256
+
+
+@contextmanager
+def _reference_precision():
+    saved = iv.prec, mp.prec
+    iv.prec = mp.prec = REFERENCE_BITS
+    try:
+        yield
+    finally:
+        iv.prec, mp.prec = saved
+
+
+def _interval_reference(x_lo, x_hi, table):
+    """check_theta_bounds as interval arithmetic at 256 bits: (checks, primes, failures, slacks).
+
+    An independent statement of the same plateau checks, with the bound
+    curves evaluated in mpmath intervals and compared endpoint to endpoint.
+    """
+    failures, slack = [], {"lower": mpf("inf"), "upper": mpf("inf")}
+    with _reference_precision():
+        c_lo = iv.mpf(theta_module._LOWER_COEFF[0]) / theta_module._LOWER_COEFF[1]
+        c_hi = iv.mpf(theta_module._UPPER_COEFF[0]) / theta_module._UPPER_COEFF[1]
+        points = []  # (x, side, theta enclosure on the plateau)
+        acc = sum((iv.log(p) for p in table.primes[: table.index_gt(x_lo)]), iv.mpf(0))
+        points += [(x_lo, "lower", acc), (x_lo, "upper", acc)]
+        in_range = table.primes[table.index_gt(x_lo) : table.index_gt(x_hi)]
+        for p in in_range:
+            points.append((p, "lower", acc))
+            acc += iv.log(p)
+            points.append((p, "upper", acc))
+        points.append((x_hi, "lower", acc))
+        for x, side, acc in points:
+            xi = iv.mpf(x)
+            if side == "lower":
+                gap = mpf(acc.a) - mpf((xi - c_lo * xi / iv.log(xi)).b)
+            else:
+                gap = mpf((xi + c_hi * xi / iv.log(xi)).a) - mpf(acc.b)
+            slack[side] = min(slack[side], gap)
+            if not gap > 0:
+                failures.append((float(x), side))
+    return len(points), len(in_range), tuple(failures), slack
 
 
 class TestTheta:
@@ -94,6 +143,54 @@ class TestThetaBounds:
         for x_lo, x_hi in ((math.nan, 2000), (1429, math.nan)):
             with pytest.raises(ValueError, match="x_lo <= x_hi"):
                 check_theta_bounds(x_lo, x_hi, table_5000)
+
+
+class TestIntegerChecks:
+    X_POINTS = (1429, 1429.5, 2000.25, 50216)
+
+    def test_log_enclosure_contains_a_256_bit_log(self, table_5000):
+        F = PRECISION_BITS
+        for x in table_5000.primes + self.X_POINTS:
+            lo, hi = _log_fixed(x)
+            assert 0 <= hi - lo <= 2 ** (F - 120), x
+            with _reference_precision():
+                ref = iv.log(iv.mpf(x))
+                # Scaling by 2^F is exact, so these comparisons are too.
+                assert lo <= mpf(ref.a) * 2**F and mpf(ref.b) * 2**F <= hi, x
+
+    def test_non_dyadic_point_rejected(self):
+        with pytest.raises(ValueError, match="dyadic"):
+            _log_fixed(Fraction(4289, 3))
+
+    @pytest.mark.parametrize("x_lo, x_hi", [(1429, 5000), (1429.5, 2000.25)])
+    def test_matches_the_interval_reference(self, table_5000, x_lo, x_hi):
+        report = check_theta_bounds(x_lo, x_hi, table_5000)
+        checks, primes, failures, slack = _interval_reference(x_lo, x_hi, table_5000)
+        assert (report.checks, report.primes_checked, report.failures) == (
+            checks,
+            primes,
+            failures,
+        )
+        assert abs(report.min_lower_slack - float(slack["lower"])) <= 1e-20
+        assert abs(report.min_upper_slack - float(slack["upper"])) <= 1e-20
+
+    def test_false_bounds_fail_where_the_reference_fails(self, table_5000, monkeypatch):
+        monkeypatch.setattr(theta_module, "_LOWER_COEFF", (330, 1000))
+        monkeypatch.setattr(theta_module, "_UPPER_COEFF", (-320, 1000))
+        report = check_theta_bounds(1429, 5000, table_5000)
+        assert not report.passed
+        sides = [side for _, side in report.failures]
+        assert (sides.count("lower"), sides.count("upper")) == (1, 444)
+        assert report.failures[0] == (1429.0, "upper")
+        assert report.failures == _interval_reference(1429, 5000, table_5000)[2]
+
+    def test_theta_value_is_the_exact_midpoint(self, table_5000):
+        # The integer sums give theta's midpoint and width with no rounding.
+        result = theta(1429, table_5000)
+        lo, hi = theta_module._prime_log_sum(1429, table_5000)
+        with _reference_precision():
+            assert result.value * 2 ** (PRECISION_BITS + 1) == lo + hi
+        assert result.error_bound == (hi - lo) / 2**PRECISION_BITS
 
 
 class TestMargin:
