@@ -36,20 +36,19 @@ prime <= n // (k+1), stays fixed for n in [(k+1)p, (k+1)q - 1], q the
 next prime; so each (k, p, floor(n/p)) is one contiguous run of n and
 takes one verdict, which holds for every pair in it.
 
-A :class:`CertifyResult` stores the certified runs (n_first, n_last, k, p)
-and the gap pairs; rows, objects and file lines are made from them on
-demand by one sweep over the run starts, and each run's line tail after
-n is rendered once.
+A :class:`CertifyResult` stores only the runs (n_first, n_last, k, p),
+with p = 0 for a refused run.  The gap pairs and the pair count are
+derived from them, and the certificate file is written by one sweep
+over the run starts that renders each run's line tail after n once.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .checkpoint import write_lines
 from .primes import PrimeTable
@@ -124,58 +123,32 @@ def find_certificate(n: int, k: int, table: PrimeTable) -> Optional[Certificate]
     return Certificate(n, k, p)
 
 
+def _pairs(runs: Iterable[Tuple[int, int, int, int]]) -> List[Tuple[int, int]]:
+    """The (n, k) pairs of the given runs, in (n, k) order."""
+    return sorted((n, k) for first, last, k, _ in runs for n in range(first, last + 1))
+
+
 @dataclass(frozen=True)
 class CertifyResult:
     """The verdict on every (n, k) pair, n in [n_lo, n_hi], k = 1..k_cap(n).
 
-    ``runs`` holds the certified runs (n_first, n_last, k, p), sorted: p
-    certifies (n, k) for every n in [n_first, n_last].  ``gaps`` lists
-    the pairs no prime certifies, in (n, k) order.  Every pair lies in
-    exactly one run or gap.
+    ``runs`` holds the runs (n_first, n_last, k, p), sorted: p certifies
+    (n, k) for every n in [n_first, n_last], or p = 0 where the window
+    refuses every pair of the run.  Every pair lies in exactly one run.
     """
 
     n_lo: int
     n_hi: int
     runs: Tuple[Tuple[int, int, int, int], ...]
-    gaps: Tuple[Tuple[int, int], ...]
+
+    @property
+    def gaps(self) -> Tuple[Tuple[int, int], ...]:
+        """The pairs no prime certifies, in (n, k) order."""
+        return tuple(_pairs(run for run in self.runs if not run[3]))
 
     @property
     def pairs_checked(self) -> int:
-        return sum(last - first + 1 for first, last, _, _ in self.runs) + len(self.gaps)
-
-    def _sweep(self, cell: Callable[[int, int, int], object]) -> Iterator[Tuple[int, list, bool]]:
-        """(n, row, whether n has a gap) for each n in order.
-
-        row[k-1], k = 1..k_cap(n), is cell(n_first, k, p) of the run that
-        holds (n, k), or None at a gap.  A run or gap sets its column at
-        its first n, and the column keeps that value until the next one
-        starts, so one pass over the starts fills every row.
-        """
-        starts = [(first, k, p) for first, _, k, p in self.runs]
-        starts += [(n, k, 0) for n, k in self.gaps]
-        starts.sort()
-        row = [None] * k_cap(self.n_hi)
-        i = 0
-        for n in range(self.n_lo, self.n_hi + 1):
-            gapped = False
-            while i < len(starts) and starts[i][0] == n:
-                _, k, p = starts[i]
-                row[k - 1] = cell(n, k, p) if p else None
-                gapped = gapped or not p
-                i += 1
-            yield n, row[: k_cap(n)], gapped
-
-    def by_n(self) -> Iterator[Tuple[int, array]]:
-        """(n, the primes at k = 1..k_cap(n), 0 at a gap) for each n in order."""
-        for n, row, _ in self._sweep(lambda n, k, p: p):
-            yield n, array("q", [p or 0 for p in row])
-
-    def certificates(self) -> Iterator[Certificate]:
-        """A validated :class:`Certificate` for every certified pair."""
-        for n, row in self.by_n():
-            for k, p in enumerate(row, 1):
-                if p:
-                    yield Certificate(n, k, p)
+        return sum(last - first + 1 for first, last, _, _ in self.runs)
 
 
 def certify_range(n_lo: int, n_hi: int, table: PrimeTable) -> CertifyResult:
@@ -187,7 +160,7 @@ def certify_range(n_lo: int, n_hi: int, table: PrimeTable) -> CertifyResult:
     there is none, which the window refuses.  Each column is walked one
     run of constant (p, floor(n/p)) at a time, and one
     :func:`window_violation` verdict settles the whole run (see the
-    module docstring); the pairs of a refused run are reported as gaps.
+    module docstring); a refused run is stored with p = 0.
     """
     if not 2 <= n_lo <= n_hi:
         raise ValueError(f"need 2 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
@@ -197,7 +170,6 @@ def certify_range(n_lo: int, n_hi: int, table: PrimeTable) -> CertifyResult:
     # Bertrand's postulate the next prime lies below n_hi <= table.limit.
     primes = (0, *table.primes)
     runs: List[Tuple[int, int, int, int]] = []
-    gaps: List[Tuple[int, int]] = []
     for k in range(1, k_cap(n_hi) + 1):
         n = max(n_lo, k + 1, _cap_start(k))
         j = bisect_right(primes, n // (k + 1)) - 1
@@ -206,34 +178,39 @@ def certify_range(n_lo: int, n_hi: int, table: PrimeTable) -> CertifyResult:
             p_last = min(n_hi, (k + 1) * primes[j + 1] - 1)
             while n <= p_last:
                 last = min(p_last, (n // p + 1) * p - 1) if p else p_last
-                if window_violation(n, k, p) is None:
-                    runs.append((n, last, k, p))
-                else:
-                    gaps.extend((m, k) for m in range(n, last + 1))
+                runs.append((n, last, k, p if window_violation(n, k, p) is None else 0))
                 n = last + 1
             j += 1
     runs.sort()
-    gaps.sort()
-    return CertifyResult(n_lo=n_lo, n_hi=n_hi, runs=tuple(runs), gaps=tuple(gaps))
+    return CertifyResult(n_lo=n_lo, n_hi=n_hi, runs=tuple(runs))
 
 
 def certificate_lines(result: CertifyResult) -> Iterable[str]:
     """Render the certificate list format: one tab-separated line per
     certificate (n, k, p, threshold, floor(n/p)); gap lines prefixed GAP.
 
-    Everything after n is constant on a run, so each run's tail is
-    rendered once, and an n without a gap is one item of LF-joined lines.
+    One pass over the run starts fills each n's row: a run sets column k
+    at its first n, and the column keeps it until the next run of k
+    starts.  Everything after n is constant on a certified run, so each
+    run's tail is rendered once.  A count of the columns now in a refused
+    run tells, without reading the row, whether n is one item of
+    LF-joined lines.
     """
-
-    def tail(n: int, k: int, p: int) -> str:
-        return f"{k}\t{p}\t{certificate_threshold(k)}\t{n // p}"
-
-    for n, tails, gapped in result._sweep(tail):
+    runs = result.runs
+    tails: List[Optional[str]] = [""] * k_cap(result.n_hi)
+    refused = i = 0
+    for n in range(result.n_lo, result.n_hi + 1):
+        while i < len(runs) and runs[i][0] == n:
+            _, _, k, p = runs[i]
+            refused += (not p) - (tails[k - 1] is None)
+            tails[k - 1] = f"{k}\t{p}\t{certificate_threshold(k)}\t{n // p}" if p else None
+            i += 1
         head = f"{n}\t"
-        if not gapped:
-            yield head + f"\n{head}".join(tails)
+        row = tails[: k_cap(n)]
+        if not refused:
+            yield head + f"\n{head}".join(row)
             continue
-        for k, t in enumerate(tails, 1):
+        for k, t in enumerate(row, 1):
             yield f"GAP\t{n}\t{k}" if t is None else head + t
 
 
@@ -295,7 +272,7 @@ def sample_certified_pairs(
 ) -> List[Tuple[int, int]]:
     """Deterministically sample ``count`` certified (n, k) pairs with n <= n_max."""
     result = certify_range(2, n_max, table)
-    certified = [(n, k) for n, row in result.by_n() for k, p in enumerate(row, 1) if p]
+    certified = _pairs(run for run in result.runs if run[3])
     if len(certified) < count:
         raise ValueError(f"only {len(certified)} certified pairs below {n_max}")
     rng = random.Random(seed)

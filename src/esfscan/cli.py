@@ -121,15 +121,16 @@ def _cmd_certify(args) -> int:
     result = certify_range(args.n_start, args.n_end, sieve(args.n_end))
     if args.out is not None:
         write_certificates(args.out, result)
+    gaps = result.gaps
     print(
         f"certified n in [{result.n_lo}, {result.n_hi}]: {result.pairs_checked} (n,k) pairs, "
-        f"{result.pairs_checked - len(result.gaps)} certificates, {len(result.gaps)} gap(s)"
+        f"{result.pairs_checked - len(gaps)} certificates, {len(gaps)} gap(s)"
     )
-    for n, k in result.gaps[:20]:
+    for n, k in gaps[:20]:
         print(f"  GAP at (n={n}, k={k})")
-    if len(result.gaps) > 20:
-        print(f"  ... and {len(result.gaps) - 20} more")
-    return UNEXPECTED_FINDING if result.gaps else 0
+    if len(gaps) > 20:
+        print(f"  ... and {len(gaps) - 20} more")
+    return UNEXPECTED_FINDING if gaps else 0
 
 
 def _cmd_theta(args) -> int:

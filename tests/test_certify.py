@@ -17,7 +17,7 @@ from esfscan.certify import (
     window_violation,
     write_certificates,
 )
-from esfscan.symfun import k_cap
+from esfscan.symfun import _cap_start, k_cap
 from esfscan.witness import settle_at
 
 
@@ -33,6 +33,16 @@ def brute_certificate_prime(n, k, table):
         if (k + 3) * p > n and p > threshold:
             best = p
     return best
+
+
+def pair_cells(result):
+    """(n, k, p) for every pair, expanded from the runs, in (n, k) order."""
+    return sorted((n, k, p) for first, last, k, p in result.runs for n in range(first, last + 1))
+
+
+def pair_certificates(result):
+    """A validated Certificate for every certified pair, expanded from the runs."""
+    return [Certificate(n, k, p) for n, k, p in pair_cells(result) if p]
 
 
 class TestThreshold:
@@ -123,6 +133,8 @@ class TestFindCertificate:
 
 # sha256 of the certificate file for [13543, 50216], the whole certify leg.
 CERTS_FULL_SHA256 = "7549ed0219ebdc25eb8201180a45b77753098fa91957b2bc71413c79444142c9"
+# sha256 of the certificate file for [2, 3000]: 63,831 lines, 30,803 of them GAP lines.
+CERTS_2_3000_SHA256 = "de8aea933dab789295e1e620dabfe7e6627d4449fcbfca9e2ab7556ad45184a4"
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +148,14 @@ def test_full_range_file_is_pinned(full_range, tmp_path):
     write_certificates(str(path), full_range)
     assert not full_range.gaps and full_range.pairs_checked == 1108410
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CERTS_FULL_SHA256
+
+
+def test_gapped_range_file_is_pinned(table_50216, tmp_path):
+    path = tmp_path / "certs.tsv"
+    write_certificates(str(path), certify_range(2, 3000, table_50216))
+    data = path.read_bytes()
+    assert data.count(b"\n") == 63831 and data.count(b"GAP\t") == 30803
+    assert hashlib.sha256(data).hexdigest() == CERTS_2_3000_SHA256
 
 
 def test_every_certificate_settles_in_the_witness_kernel(full_range):
@@ -181,16 +201,40 @@ def per_pair_verdicts(n_lo, n_hi, table):
 def test_runs_match_the_per_pair_check(table_50216, n_lo, n_hi):
     result = certify_range(n_lo, n_hi, table_50216)
     primes, gaps = per_pair_verdicts(n_lo, n_hi, table_50216)
-    assert [p for _, row in result.by_n() for p in row] == primes
+    assert [p for _, _, p in pair_cells(result)] == primes
     assert list(result.gaps) == gaps
     assert result.pairs_checked == len(primes)
+
+
+@pytest.mark.parametrize("n_lo, n_hi", [(2, 3000), (25, 26), (13543, 13842)])
+def test_runs_partition_every_column(table_50216, n_lo, n_hi):
+    """For each k the runs are sorted, contiguous and disjoint, cover
+    [max(n_lo, k+1, _cap_start(k)), n_hi], and hold p = 0 exactly where
+    the window refuses the candidate prime."""
+    result = certify_range(n_lo, n_hi, table_50216)
+    assert list(result.runs) == sorted(result.runs)
+    columns = {}
+    for first, last, k, p in result.runs:
+        columns.setdefault(k, []).append((first, last, p))
+    assert sorted(columns) == list(range(1, k_cap(n_hi) + 1))
+    for k, runs in columns.items():
+        start = max(n_lo, k + 1, _cap_start(k))
+        for first, last, p in runs:
+            assert first == start and first <= last, (k, first, last)
+            for n in range(first, last + 1):
+                candidate = table_50216.largest_leq(n // (k + 1)) or 0
+                refused = window_violation(n, k, candidate) is not None
+                assert refused == (p == 0) and p in (0, candidate), (n, k, p)
+            start = last + 1
+        assert start == n_hi + 1, k
+    assert result.pairs_checked == sum(k_cap(n) for n in range(n_lo, n_hi + 1))
 
 
 class TestCertifyRange:
     def test_all_gaps_at_n4(self, table_5000):
         result = certify_range(4, 4, table_5000)
         assert result.gaps == ((4, 1), (4, 2), (4, 3))
-        assert not list(result.certificates())
+        assert not pair_certificates(result)
 
     def test_tiny_range_fully_gapped(self, table_5000):
         result = certify_range(2, 5, table_5000)
@@ -207,7 +251,7 @@ class TestCertifyRange:
     def test_pair_accounting(self, table_5000):
         result = certify_range(100, 140, table_5000)
         assert result.pairs_checked == sum(k_cap(n) for n in range(100, 141))
-        assert len(list(result.certificates())) + len(result.gaps) == result.pairs_checked
+        assert len(pair_certificates(result)) + len(result.gaps) == result.pairs_checked
 
     def test_rejects_bad_range(self, table_5000):
         with pytest.raises(ValueError):
