@@ -3,7 +3,8 @@
 A checkpoint records how far a scan got: the scan's ``n_start``, the
 last fully completed n, and every integer hit found so far.  Nothing else
 is needed to resume: the scan carries nothing from one n to the next
-but the hits, so a resume is a fresh start at the next n.  The format is
+but the hits and a bounded cache of pure functions, so a resume is a
+fresh start at the next n.  The format is
 UTF-8 text so checkpoints are human-auditable and diff-able:
 
     ESF-CKPT v2 n_start=<a> n=<n> hits=<h>

@@ -39,10 +39,8 @@ def is_integer(q: Rational) -> bool:
 def is_prime(n: int) -> bool:
     """Primality by trial division up to isqrt(n), exact for every n.
 
-    ``witness.witness_primes`` calls it lazily on the candidates in
-    (sqrt(n), n], which ``witness.unsettled`` stops drawing once every pair
-    of n is settled; ``p_adic_valuation`` calls it on its prime.  A call on
-    m makes at most isqrt(m) - 1 divisions (115 at the scan's top n, 13542).
+    ``p_adic_valuation`` calls it on its prime, and the tests check the
+    sieves against it.  A call on m makes at most isqrt(m) - 1 divisions.
     """
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 

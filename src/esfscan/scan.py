@@ -1,8 +1,9 @@
 """Exhaustive integrality scan with checkpoint/resume.
 
 The scan tests every omit-one value at 1 <= i <= n, 1 <= k <= k_cap(n)
-for integrality, one n at a time, and carries nothing from one n to the
-next but the hits.  Its hot path is the p-adic witness kernel of
+for integrality, one n at a time.  From one n to the next it carries the
+hits and, in each process, only the witness kernel's bounded cache of
+tables that are pure functions of (p, floor(n/p), k_max).  Its hot path is the p-adic witness kernel of
 :mod:`esfscan.witness`: a prime p > sqrt(n) that shows
 v_p(omit(n, i, k)) < 0 settles the triple in mod-p arithmetic, with no
 exact value.  Only the triples no witness settles (none above n = 27),
@@ -14,10 +15,11 @@ exact value is also compared with subset enumeration and every witness
 with the exact valuation.
 
 The scan is one loop over n, and one n, with all of its indices, is one
-stateless task.  One worker, or a range of at most CHUNK_N n, runs
-in-process; otherwise a process pool that lives only as long as the scan
-sends each worker CHUNK_N consecutive n in one message, so every
-per-(n, p) witness table is built once.  The closed-form triple count is
+task whose result does not depend on what the cache holds.  One worker,
+or a range of at most CHUNK_N n, runs in-process; otherwise a process
+pool that lives only as long as the scan sends each worker CHUNK_N
+consecutive n in one message, so a worker's n rise and it reuses the
+kernel's tables from one n to the next.  The closed-form triple count is
 taken before the first n, so forked workers inherit every cached
 k_cap(n).  Results come back in n order.  A check
 that fails in a worker raises its ``ScanError`` in the scan; when
@@ -143,8 +145,9 @@ def _test_n(n: int) -> Tuple[List[IntegerHit], int, int, float, int]:
     n <= ORACLE_CROSSCHECK_MAX every triple, is evaluated exactly.
     Returns the integer hits in (i, k) order, the triples tested, those
     evaluated exactly, the seconds spent and the id of the process that
-    ran it.  It keeps no state from one call to the next, so it runs the
-    same in-process or in a pool worker.
+    ran it.  Its only state across calls is the witness kernel's bounded
+    cache of pure functions of (p, floor(n/p), k_max), so it returns the
+    same in-process or in a pool worker, in any order of n.
     """
     started = time.perf_counter()
     mk = k_cap(n)

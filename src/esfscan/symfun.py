@@ -282,7 +282,11 @@ def esf_oracle(n: int, k: int) -> Rational:
 
 
 def omit_oracle(n: int, i: int, k: int) -> Rational:
-    """omit(n, i, k) by direct enumeration of k-subsets of {1..n} minus {i}."""
+    """omit(n, i, k) by direct enumeration of k-subsets of {1..n} minus {i}.
+
+    The sum runs in integers over the common denominator W = prod(pool):
+    each subset T adds W / prod(T), and one rational is built at the end.
+    """
     if n < 2 or n > ORACLE_BOUND:
         raise ValueError(f"oracle bound exceeded: n={n} (bound {ORACLE_BOUND})")
     if not 1 <= i <= n:
@@ -290,10 +294,8 @@ def omit_oracle(n: int, i: int, k: int) -> Rational:
     if not 1 <= k < n:
         raise ValueError(f"k={k} out of range for n={n}")
     pool = [j for j in range(1, n + 1) if j != i]
-    total = make_rational(0)
-    for subset in combinations(pool, k):
-        total += make_rational(1, math.prod(subset))
-    return total
+    whole = math.prod(pool)
+    return make_rational(sum(whole // math.prod(s) for s in combinations(pool, k)), whole)
 
 
 def esf_closed_form(k: int, offset: int) -> Rational:

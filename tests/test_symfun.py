@@ -1,5 +1,7 @@
 import math
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from mpmath import mp
@@ -53,6 +55,16 @@ class TestOracles:
     def test_omit_golden_table(self, golden_omit):
         for (n, i, k), expected in golden_omit.items():
             assert format_rational(omit_oracle(n, i, k)) == expected
+
+    def test_omit_oracle_matches_a_fraction_sum(self):
+        # The oracle sums in integers; a plain Fraction sum over the same
+        # subsets is the reference, on every triple the scan cross-checks.
+        for n in range(2, 13):
+            for i in range(1, n + 1):
+                pool = [j for j in range(1, n + 1) if j != i]
+                for k in range(1, n):
+                    want = sum(Fraction(1, math.prod(s)) for s in combinations(pool, k))
+                    assert omit_oracle(n, i, k) == want, (n, i, k)
 
     def test_bound_guard(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,11 @@ import multiprocessing
 
 import pytest
 
+from esfscan import witness
 from esfscan.rational import is_prime, p_adic_valuation
 from esfscan.scan import ScanConfig, ScanError, scan
 from esfscan.symfun import esf_rows, k_cap, omit_sweep
-from esfscan.witness import settle_at, unsettled, witness_primes
+from esfscan.witness import AllUnits, settle_at, unsettled, witness_primes
 
 
 def primes_above_root(n):
@@ -36,6 +37,86 @@ def lemma_by_definition(n, i, k, p):
     if j < 1 or k - j > p - 2:
         return 0
     return j if esf_mod(multiples, j) * esf_mod(units, k - j) % p else 0
+
+
+def reference_settle_at(n, p, todo, claims=None):
+    """The kernel before memoisation: every table rebuilt for this n."""
+    m = n // p
+    k_max = max(todo)
+    tail = n - m * p
+    depth = k_max - min(k_max, m - 1)
+    top_inv = max(m, tail if depth else 0)
+    inv = [0, 1][: top_inv + 1]  # [0, 1^-1, ..., top_inv^-1] mod p
+    for r in range(2, top_inv + 1):
+        inv.append(-(p // r) * inv[p % r] % p)
+
+    def esf(xs, d):
+        e = [1] + [0] * d
+        for count, x in enumerate(xs, 1):
+            for t in range(min(count, d), 0, -1):
+                e[t] = (e[t] + x * e[t - 1]) % p
+        return e
+
+    def omit_one(e, x):
+        out = [1]
+        for t in range(1, len(e)):
+            out.append((e[t] - x * out[-1]) % p)
+        return out
+
+    e_mult = esf(inv[1 : m + 1], min(k_max, m))
+    e_unit = esf(inv[1 : tail + 1], depth)
+    rows = {}
+
+    def witness_row(i):
+        e_a = e_mult if i % p else omit_one(e_mult, inv[i // p])[:m]
+        top = len(e_a) - 1
+        row = [0] + [k if e_a[k] else 0 for k in range(1, top + 1)]
+        if top < k_max:
+            e_r = omit_one(e_unit, pow(i, -1, p)) if i % p else e_unit
+            row += [
+                top if top and k - top <= p - 2 and e_a[top] * e_r[k - top] % p else 0
+                for k in range(top + 1, k_max + 1)
+            ]
+        return row
+
+    left = {}
+    for k, open_ in todo.items():
+        rest, tested = set(), open_
+        if k <= m:
+            if e_mult[k]:
+                if claims is not None:
+                    claims.extend((i, k, p, k) for i in open_ if i % p)
+            else:
+                rest = set(open_)
+            tested = [p * a for a in range(1, m + 1) if p * a in open_]
+        for i in tested:
+            key = i % p or i
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = witness_row(i)
+            if not row[k]:
+                rest.add(i)
+            else:
+                rest.discard(i)
+                if claims is not None:
+                    claims.append((i, k, p, row[k]))
+        if rest:
+            left[k] = rest
+    return left
+
+
+def as_pairs(todo):
+    return {(i, k) for k, open_ in todo.items() for i in open_}
+
+
+def same_claims(claims, want):
+    """Equal as multisets; the reference claims each (i, k) once."""
+    return len(claims) == len(want) and set(claims) == set(want)
+
+
+def fresh_todo(n):
+    everything = AllUnits(n)
+    return {k: everything for k in range(1, k_cap(n) + 1)}
 
 
 def test_every_claim_on_2_to_120_matches_exact_valuation():
@@ -77,6 +158,63 @@ def test_unsettled_only_below_37():
     # Each one really has no witness at any prime in (sqrt n, n].
     for n, i, k in left[::7]:
         assert all(not lemma_by_definition(n, i, k, p) for p in primes_above_root(n))
+
+
+def test_memo_leaves_what_the_reference_leaves():
+    # Rising n, as in a scan, so each (p, m, k_max) table is reused.
+    witness._run_table.cache_clear()
+    calls = 0
+    for n in range(2, 2001):
+        todo = fresh_todo(n)
+        for p in witness_primes(n, k_cap(n)):
+            if not todo:
+                break
+            left = settle_at(n, p, todo)
+            assert as_pairs(left) == as_pairs(reference_settle_at(n, p, todo)), (n, p)
+            todo, calls = left, calls + 1
+    assert witness._run_table.cache_info().hits > calls // 2
+
+
+def test_memo_claims_what_the_reference_claims():
+    # Ranges, as the certify tests pass them, and up to n = 40 the
+    # symbolic sets ``unsettled`` starts from (the scan claims to n = 12).
+    for n in range(2, 201):
+        for p in primes_above_root(n):
+            for todo in [all_pairs(n)] + [fresh_todo(n)] * (n <= 40):
+                claims, want = [], []
+                left = settle_at(n, p, todo, claims)
+                assert as_pairs(left) == as_pairs(reference_settle_at(n, p, todo, want))
+                assert same_claims(claims, want), (n, p)
+
+
+@pytest.mark.parametrize("window, depth", [(range(1160, 1180), 0), (range(12961, 12967), 1)])
+def test_memo_across_a_change_of_m(window, depth):
+    """Consecutive n at each prime ``unsettled`` tries there.  The window
+    holds an n where such a prime's m = floor(n/p) has just changed and
+    the tail depth k_max - min(k_max, m - 1) is ``depth``."""
+    crossings = set()
+    for n in window:
+        todo = fresh_todo(n)
+        for p in witness_primes(n, k_cap(n)):
+            if not todo:
+                break
+            m, k_max = n // p, max(todo)
+            if m != (n - 1) // p:
+                crossings.add(k_max - min(k_max, m - 1))
+            claims, want = [], []
+            left = settle_at(n, p, todo, claims)
+            assert as_pairs(left) == as_pairs(reference_settle_at(n, p, todo, want)), (n, p)
+            assert same_claims(claims, want), (n, p)
+            todo = left
+    assert depth in crossings
+
+
+def test_verdicts_do_not_depend_on_the_cache():
+    witness._run_table.cache_clear()
+    rising = [unsettled(n, k_cap(n)) for n in range(2, 401)]
+    witness._run_table.cache_clear()
+    falling = [unsettled(n, k_cap(n)) for n in range(400, 1, -1)]
+    assert rising == falling[::-1]
 
 
 def test_witness_primes_order():
