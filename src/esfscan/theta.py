@@ -1,16 +1,25 @@
 """Chebyshev prime-log sums and the analytic-case inequality checks.
 
 Everything here evaluates strict inequalities that are claimed to hold
-exactly, so plain floating point is not good enough.  The trust base is
-mpmath's outward-rounded logarithm (``mpmath.libmp.mpi_log``, the
-routine behind ``iv.log``): the theta checks take one enclosure of ln x
-per point from it, turn it into fixed-point integers l <= 2^F ln x <= u
-with F = ``PRECISION_BITS`` (floor and ceiling), and from there on run in
-exact integer arithmetic: the prime-log sum is a pair of integer sums
-and every check is one integer inequality.  The margin check and the
-subset-size bound b(n) run in mpmath interval arithmetic (outward-rounded
-enclosures).  A check passes only when it holds between opposing
-endpoints, so a reported pass is rigorous at the stated precision.
+exactly, so plain floating point is not good enough.  The theta checks
+run on fixed-point integers l <= 2^F ln x <= u with F =
+``PRECISION_BITS``, and from there on in exact integer arithmetic: the
+prime-log sum is a pair of integer sums and every check is one integer
+inequality.  The trust base of those integers is small:
+
+* mpmath's outward-rounded logarithm (``mpmath.libmp.mpi_log``, the
+  routine behind ``iv.log``) at three points only: ln 2, where the prime
+  chain starts, and the two ends x_lo and x_hi of a checked range
+  (:func:`_log_fixed`, floored and ceiled to F bits);
+* the integer artanh lemma (:func:`_artanh_fixed`), which carries the
+  enclosure from each prime p to the next prime q through
+  ln q = ln p + 2 artanh((q - p)/(q + p)) in plain integers
+  (:func:`_prime_logs`).
+
+The margin check and the subset-size bound b(n) run in mpmath interval
+arithmetic (outward-rounded enclosures).  A check passes only when it
+holds between opposing endpoints, so a reported pass is rigorous at the
+stated precision.
 
 There is one working precision, ``PRECISION_BITS`` = 128 bits, and every
 report states it.  Every interval evaluation here (``symfun.k_cap``
@@ -18,21 +27,28 @@ reads b(n) from :func:`subset_size_bound`) runs in one precision scope,
 :func:`working_precision`, which sets the interval and the point
 precision together and restores both, so endpoint conversions, slacks
 and midpoints never depend on the caller's global mpmath precision; the
-log enclosures pass the precision to ``mpi_log`` explicitly.  No other
-code in the package sets an mpmath precision.
+log enclosures pass the precision to ``mpi_log`` explicitly, and the
+artanh chain reads no mpmath precision at all.  No other code in the
+package sets an mpmath precision.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from itertools import islice
+from typing import Iterable, Iterator, List, Tuple
 
 from mpmath import iv, libmp, mp, mpf
 
 from .primes import PrimeTable
 
 PRECISION_BITS = 128
+# The artanh chain of _prime_logs runs in units of 2^-CHAIN_BITS.  Its 32
+# guard bits keep the lemma's allowances (44 to 324 units per prime up to
+# 50216, 3.0e5 in all) far below one unit of 2^-F for millions of primes.
+_GUARD_BITS = 32
+CHAIN_BITS = PRECISION_BITS + _GUARD_BITS
 
 # The two-sided bound verified by check_theta_bounds:
 #   x - 0.334 x / ln x  <  theta(x)  <  x + 0.021 x / ln x   for x >= 1429.
@@ -89,10 +105,76 @@ def _log_fixed(x: float) -> Tuple[int, int]:
     return libmp.to_fixed(lo, PRECISION_BITS), -libmp.to_fixed(libmp.mpf_neg(hi), PRECISION_BITS)
 
 
+def _artanh_fixed(d: int, s: int) -> Tuple[int, int]:
+    """Integers L <= 2^G artanh(d/s) < L + 4J + 2, G = CHAIN_BITS, for integers 0 < d <= s/3.
+
+    The lemma.  Write y = d/s, so 0 < y <= 1/3, and
+    artanh y = sum_{j>=0} y^(2j+1)/(2j+1).  Set P_0 = floor(2^G d/s) and
+    P_{j+1} = floor(P_j d^2/s^2).  By induction on j,
+
+        2^G y^(2j+1) - (j+1) < P_j <= 2^G y^(2j+1):
+
+    it holds at j = 0, and P_{j+1} <= P_j y^2 <= 2^G y^(2j+3) while
+    P_{j+1} > P_j y^2 - 1 > 2^G y^(2j+3) - (j+1) y^2 - 1 > 2^G y^(2j+3) - (j+2).
+    Let J be the first j with P_J = 0 (P_j falls by a factor y^2 <= 1/9,
+    so J exists) and L = sum_{j<J} floor(P_j/(2j+1)).  Each summand is at
+    most 2^G y^(2j+1)/(2j+1), and every term of the series is positive,
+    so L <= 2^G artanh y.  Each summand also exceeds
+    (2^G y^(2j+1) - (j+1))/(2j+1) - 1 >= 2^G y^(2j+1)/(2j+1) - 2, so the
+    first J terms lose less than 2J.  P_J = 0 gives 2^G y^(2J+1) < J+1,
+    so the tail is at most 2^G y^(2J+1)/(1 - y^2) < (J+1)/(1 - y^2)
+    <= 9(J+1)/8 <= 2(J+1).  Hence 2^G artanh y < L + 2J + 2(J+1).
+
+    Consecutive primes p < q have q <= 2p (Bertrand), so d = q - p and
+    s = q + p give y <= 1/3.  A pair outside 0 < y <= 1/3 raises
+    ``ValueError``.
+    """
+    if not (0 < d and 3 * d <= s):
+        raise ValueError(f"need 0 < d/s <= 1/3, got d={d}, s={s}")
+    d2, s2 = d * d, s * s
+    term, total, j = (d << CHAIN_BITS) // s, 0, 0
+    while term:
+        total += term // (2 * j + 1)
+        term = term * d2 // s2
+        j += 1
+    return total, total + 4 * j + 2
+
+
+def _prime_logs(primes: Iterable[int]) -> Iterator[Tuple[int, int]]:
+    """Integers l_p <= 2^F ln p <= u_p for each of the consecutive primes `primes`, in order.
+
+    The chain starts from :func:`_log_fixed` at the first prime (2 for a
+    whole prime table), shifted to G = CHAIN_BITS bits.  From a prime p
+    to the next prime q it adds twice the pair _artanh_fixed(q - p, q + p),
+    since ln q - ln p = ln(q/p) = 2 artanh((q - p)/(q + p)), so the running
+    pair encloses 2^G ln q.
+    Each step adds no rounding beyond the lemma's allowance; the yielded
+    pair floors the lower end and ceils the upper end to F bits.
+    """
+    lo = hi = p = None
+    for q in primes:
+        if p is None:
+            l, u = _log_fixed(q)
+            lo, hi = l << _GUARD_BITS, u << _GUARD_BITS
+        else:
+            a, b = _artanh_fixed(q - p, q + p)
+            lo, hi = lo + 2 * a, hi + 2 * b
+        yield lo >> _GUARD_BITS, -(-hi >> _GUARD_BITS)
+        p = q
+
+
+def _sum_logs(logs: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
+    """The integer sums (sum l_p, sum u_p) of a run of log enclosures."""
+    total_lo = total_hi = 0
+    for l_p, u_p in logs:
+        total_lo += l_p
+        total_hi += u_p
+    return total_lo, total_hi
+
+
 def _prime_log_sum(x: float, table: PrimeTable) -> Tuple[int, int]:
     """Integers A_lo <= 2^F theta(x) <= A_hi: the sums of the ln p enclosures over primes p <= x."""
-    logs = [_log_fixed(p) for p in table.primes[: table.index_gt(x)]]
-    return sum(lo for lo, _ in logs), sum(hi for _, hi in logs)
+    return _sum_logs(_prime_logs(table.primes[: table.index_gt(x)]))
 
 
 def theta(x: float, table: PrimeTable) -> ThetaValue:
@@ -134,10 +216,13 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
     Each check is one exact integer inequality.  Write F = PRECISION_BITS,
     x = a/d (x is an int or a float, so a dyadic rational) and c = cn/cd
     for either coefficient; both are positive.  Every prime's log comes
-    as integers l_p <= 2^F ln p <= u_p (:func:`_log_fixed` floors the
-    lower end and ceils the upper end of an outward-rounded enclosure),
-    and the integer sums A_lo = sum l_p and A_hi = sum u_p add no
-    rounding, so A_lo <= 2^F theta <= A_hi on the plateau.  With
+    as integers l_p <= 2^F ln p <= u_p from one streamed pass of the
+    artanh chain (:func:`_prime_logs`, which starts from ln 2), and the
+    two endpoints' logs from :func:`_log_fixed`, which floors the lower
+    end and ceils the upper end of mpmath's outward-rounded enclosure;
+    those are the check's three ``mpi_log`` calls.  The integer sums
+    A_lo = sum l_p and A_hi = sum u_p add no rounding, so
+    A_lo <= 2^F theta <= A_hi on the plateau.  With
     u = u_x >= 2^F ln x > 0 we have 1/ln x >= 2^F/u, hence
 
         x - c x/ln x <= (a/d)(1 - c 2^F/u),   x + c x/ln x >= (a/d)(1 + c 2^F/u).
@@ -179,12 +264,14 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
         if not num > 0:
             failures.append((float(x), side))
 
-    in_range = table.primes[table.index_gt(x_lo) : table.index_gt(x_hi)]
-    acc = _prime_log_sum(x_lo, table)
+    below, upto = table.index_gt(x_lo), table.index_gt(x_hi)
+    in_range = table.primes[below:upto]
+    logs = _prime_logs(table.primes[:upto])  # one pass of the chain
+    acc = _sum_logs(islice(logs, below))
+    u_lo = _log_fixed(x_lo)[1]
     for side in ("lower", "upper"):  # both bounds at x_lo itself
-        check(x_lo, _log_fixed(x_lo)[1], acc, side)
-    for p in in_range:
-        l_p, u_p = _log_fixed(p)  # serves both checks at p and the jump
+        check(x_lo, u_lo, acc, side)
+    for p, (l_p, u_p) in zip(in_range, logs):  # (l_p, u_p) serves both checks at p and the jump
         check(p, u_p, acc, "lower")  # left limit at p: x -> p from below
         acc = (acc[0] + l_p, acc[1] + u_p)
         check(p, u_p, acc, "upper")  # right after the jump at p

@@ -271,3 +271,68 @@ class TestPrecisionConfig:
         # Every report states the precision it ran at.
         assert precision_bits() == PRECISION_BITS == 128
         assert case1_margin(50217).precision_bits == PRECISION_BITS
+
+
+class TestArtanhChain:
+    # Consecutive primes at the chain's start, the domain edge and the
+    # top of the production range, as (d, s) = (q - p, q + p); 2 -> 3 is (1, 5).
+    PRIME_PAIRS = [(q - p, q + p) for p, q in ((2, 3), (3, 5), (1427, 1429), (1429, 1433),
+                                                (50207, 50221))]
+
+    @pytest.mark.parametrize("d, s", [(1, 3), (72, 100003)] + PRIME_PAIRS)
+    def test_lemma_brackets_a_512_bit_artanh(self, d, s):
+        G = theta_module.CHAIN_BITS
+        lo, hi = theta_module._artanh_fixed(d, s)
+        saved = iv.prec, mp.prec
+        iv.prec = mp.prec = 512
+        try:
+            # artanh(d/s) = ln((s + d)/(s - d))/2, so the reference needs only iv.log.
+            ref = iv.log(iv.mpf(s + d) / (s - d)) / 2
+            assert lo <= mpf(ref.a) * 2**G and mpf(ref.b) * 2**G <= hi
+        finally:
+            iv.prec, mp.prec = saved
+        # The allowance 4J + 2 stays small: J < G terms, each gaining at least 3 bits.
+        assert 2 <= hi - lo <= 4 * G + 2
+
+    @pytest.mark.parametrize("d, s", [(2, 5), (1, 2), (3, 8), (0, 5), (-1, 5), (-1, -3)])
+    def test_pairs_outside_the_lemma_rejected(self, d, s):
+        # (2, 5), (1, 2) and (3, 8) have y = d/s > 1/3; the rest have d <= 0.
+        with pytest.raises(ValueError, match="1/3"):
+            theta_module._artanh_fixed(d, s)
+
+    def test_chain_contains_a_256_bit_log_at_every_prime(self, table_50216):
+        F = PRECISION_BITS
+        primes = table_50216.primes
+        logs = list(theta_module._prime_logs(primes))
+        assert len(logs) == len(primes)
+        with _reference_precision():
+            for p, (lo, hi) in zip(primes, logs):
+                assert 0 <= hi - lo <= 2 ** (F - 120), p
+                ref = iv.log(iv.mpf(p))
+                # Scaling by 2^F is exact, so these comparisons are too.
+                assert lo <= mpf(ref.a) * 2**F and mpf(ref.b) * 2**F <= hi, p
+
+    def test_three_mpi_log_calls_on_the_production_range(self, table_50216, monkeypatch):
+        # ln 2 for the chain, then ln x_lo and ln x_hi for the endpoint checks;
+        # theta() reads the chain alone.
+        calls = []
+        mpi_log = theta_module.libmp.mpi_log
+
+        def counting(*args):
+            calls.append(args)
+            return mpi_log(*args)
+
+        monkeypatch.setattr(theta_module.libmp, "mpi_log", counting)
+        assert check_theta_bounds(1429, 50216, table_50216).passed
+        assert len(calls) == 3
+        theta(50216, table_50216)
+        assert len(calls) == 4
+
+    def test_cli_on_the_production_range(self, run_cli):
+        code, text = run_cli(["theta", "--x-lo", "1429", "--x-hi", "50216"])
+        assert code == 0
+        assert "PASS (9859 checks at 128-bit precision)" in text
+        assert "min lower slack 0.208439, min upper slack 29.5812" in text
+        width = float(text.rsplit("max enclosure width ", 1)[1].split()[0])
+        # The per-prime mpi_log enclosures gave 2.32e-34 here.
+        assert 0 < width <= 2.32e-34
