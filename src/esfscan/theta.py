@@ -265,13 +265,12 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
             failures.append((float(x), side))
 
     below, upto = table.index_gt(x_lo), table.index_gt(x_hi)
-    in_range = table.primes[below:upto]
-    logs = _prime_logs(table.primes[:upto])  # one pass of the chain
+    logs = _prime_logs(islice(table.primes, upto))  # one pass of the chain
     acc = _sum_logs(islice(logs, below))
     u_lo = _log_fixed(x_lo)[1]
     for side in ("lower", "upper"):  # both bounds at x_lo itself
         check(x_lo, u_lo, acc, side)
-    for p, (l_p, u_p) in zip(in_range, logs):  # (l_p, u_p) serves both checks at p and the jump
+    for p, (l_p, u_p) in zip(islice(table.primes, below, upto), logs):  # (l_p, u_p) serves both checks at p and the jump
         check(p, u_p, acc, "lower")  # left limit at p: x -> p from below
         acc = (acc[0] + l_p, acc[1] + u_p)
         check(p, u_p, acc, "upper")  # right after the jump at p
@@ -280,8 +279,8 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
         x_lo=float(x_lo),
         x_hi=float(x_hi),
         precision_bits=PRECISION_BITS,
-        primes_checked=len(in_range),
-        checks=2 * len(in_range) + 3,
+        primes_checked=upto - below,
+        checks=2 * (upto - below) + 3,
         min_lower_slack=min_slack["lower"],
         min_upper_slack=min_slack["upper"],
         max_enclosure_width=(acc[1] - acc[0]) / 2**F,

@@ -6,8 +6,9 @@ a host whose speed drifts favours neither side.  Each run is
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-started in the checkout's own directory, and its last output line (one
-JSON object) gives the end-to-end metrics.  For every end-to-end metric
+started in the checkout's own directory, with W one of the workloads and
+T the ``run_seconds`` of the parent's BENCHMARK.json; the run's last
+output line (one JSON object) gives the end-to-end metrics.  For every end-to-end metric
 in the parent's BENCHMARK.json this prints each side's median and
 quartiles over the seeds, how many pairs the change won (ties count for
 neither side), and whether the change shows a gain: it won at least nine
@@ -17,7 +18,8 @@ distance between the parent's quartiles.  Standard library only:
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload certify-full --seeds 1-10
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload certify-full --seeds 4242
 
-The exit code is 1 if any run failed or reported ``correct: false``.
+The exit code is 1 if any run failed or reported ``correct: false``, or
+if any end-to-end metric has no sample from some run.
 """
 
 from __future__ import annotations
@@ -67,18 +69,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="one workload of BENCHMARK.json")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="N or FIRST-LAST")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length per run (default: run_seconds in BENCHMARK.json)")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    workloads = [w["name"] for w in spec["workloads"]]
+    if args.workload not in workloads:
+        parser.error(f"--workload must be one of {', '.join(workloads)}, got {args.workload!r}")
+    seconds = spec["run_seconds"]
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
     sides = {"parent": args.parent, "change": args.change}
     samples: Dict[str, Dict[str, List[float]]] = {side: {} for side in sides}
-    all_correct = True
+    all_correct = complete = True
     for seed in args.seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         pair = {}
@@ -101,8 +104,9 @@ def main(argv=None) -> int:
           " median [q1, q3], parent -> change")
     for name, better in metrics:
         parent, change = samples["parent"].get(name, []), samples["change"].get(name, [])
-        if not parent or len(parent) != len(change):
+        if len(parent) != len(args.seeds) or len(change) != len(args.seeds):
             print(f"  {name}: missing samples")
+            complete = False
             continue
         sign = 1 if better == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
@@ -114,7 +118,7 @@ def main(argv=None) -> int:
             f" change won {wins}/{len(parent)}; median gap {gap:+.3g} ({better} is better)"
             f" vs parent IQR {iqr:.3g}; {'GAIN' if gain else 'no gain shown'}"
         )
-    return 0 if all_correct else 1
+    return 0 if all_correct and complete else 1
 
 
 if __name__ == "__main__":
