@@ -38,8 +38,11 @@ takes one verdict, which holds for every pair in it.
 
 A :class:`CertifyResult` stores only the runs (n_first, n_last, k, p),
 with p = 0 for a refused run.  The gap pairs and the pair count are
-derived from them, and the certificate file is written by one sweep
-over the run starts that renders each run's line tail after n once.
+derived from them.  The certificate file is written by one walk over
+the run starts: each run's line tail after n is rendered once, every
+block of n between two run starts shares one row and, when no column in
+it is refused, is one item of LF-joined lines, and the items are joined
+into batches of at most 64 KiB on their way to disk.
 """
 
 from __future__ import annotations
@@ -189,29 +192,43 @@ def certificate_lines(result: CertifyResult) -> Iterable[str]:
     """Render the certificate list format: one tab-separated line per
     certificate (n, k, p, threshold, floor(n/p)); gap lines prefixed GAP.
 
-    One pass over the run starts fills each n's row: a run sets column k
-    at its first n, and the column keeps it until the next run of k
-    starts.  Everything after n is constant on a certified run, so each
-    run's tail is rendered once.  A count of the columns now in a refused
-    run tells, without reading the row, whether n is one item of
-    LF-joined lines.
+    One walk over the run starts fills the row: a run sets column k at
+    its first n, and the column keeps it until the next run of k starts.
+    Everything after n is constant on a certified run, so each run's tail
+    is rendered once.  Between two consecutive run starts no column
+    changes, so that block of n shares one row; when none of its columns
+    is refused, the block is one item of LF-joined lines, and each n in
+    it costs one f-string head and one join.  A block with a refused
+    column yields one item per line.
+
+    The row width at n is the largest column started by n, read from the
+    runs, not from k_cap(n).  Column k's first run starts at
+    max(n_lo, k+1, _cap_start(k)), and for n >= n_lo that is <= n exactly
+    when k <= n - 1 and k <= c, c the largest value with
+    _cap_start(c) <= n (_cap_start is nondecreasing); that is,
+    k <= min(n - 1, c) = k_cap(n).  So the columns started by n are
+    1..k_cap(n).
     """
     runs = result.runs
-    tails: List[Optional[str]] = [""] * k_cap(result.n_hi)
-    refused = i = 0
-    for n in range(result.n_lo, result.n_hi + 1):
-        while i < len(runs) and runs[i][0] == n:
-            _, _, k, p = runs[i]
-            refused += (not p) - (tails[k - 1] is None)
-            tails[k - 1] = f"{k}\t{p}\t{certificate_threshold(k)}\t{n // p}" if p else None
-            i += 1
-        head = f"{n}\t"
-        row = tails[: k_cap(n)]
-        if not refused:
-            yield head + f"\n{head}".join(row)
+    # tails[k] is column k's line tail, None while refused; tails[0] = ""
+    # puts a head before the first tail of each n's join.
+    tails: List[Optional[str]] = [""] * (k_cap(result.n_hi) + 1)
+    ends = [run[0] for run in runs[1:]] + [result.n_hi + 1]
+    refused = width = 0
+    for (n, _, k, p), end in zip(runs, ends):
+        refused += (not p) - (tails[k] is None)
+        tails[k] = f"{k}\t{p}\t{certificate_threshold(k)}\t{n // p}" if p else None
+        width = max(width, k)
+        if end == n:  # another run starts at n
             continue
-        for k, t in enumerate(row, 1):
-            yield f"GAP\t{n}\t{k}" if t is None else head + t
+        row = tails[: width + 1]
+        if not refused:
+            # Each n gives "\n{n}\t" before each tail; the block's first LF goes.
+            yield "".join([f"\n{m}\t".join(row) for m in range(n, end)])[1:]
+            continue
+        for m in range(n, end):
+            for k, t in enumerate(row[1:], 1):
+                yield f"GAP\t{m}\t{k}" if t is None else f"{m}\t{t}"
 
 
 def write_certificates(path: str, result: CertifyResult) -> None:

@@ -37,6 +37,7 @@ _VERSION_RE = re.compile(r"^ESF-CKPT v(\d+)\b")
 _HEADER_RE = re.compile(r"^ESF-CKPT v2 n_start=(\d+) n=(\d+) hits=(\d+)$")
 _HIT_RE = re.compile(r"^HIT (\d+) (\d+) (\d+) (\S+)$")
 TMP_SUFFIX = ".tmp"  # write_lines writes here first
+BATCH_CHARS = 64 * 1024  # write_lines writes at most this many characters at once
 
 
 class CheckpointError(RuntimeError):
@@ -66,14 +67,23 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
     path; on failure path is left as it was.
 
     An item is one line or several LF-joined lines, and each item gets
-    one trailing LF.  Items are written one at a time, never joined into
-    the whole file.
+    one trailing LF.  Items are joined into batches of at most 64 KiB
+    (``BATCH_CHARS`` characters, LFs included; an item longer than that
+    is a batch of its own), never into the whole file, and each batch is
+    encoded to UTF-8 and written in binary mode.
     """
     tmp = path + TMP_SUFFIX
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "wb") as fh:
+            batch: List[str] = []
+            size = 0
             for line in lines:
-                fh.write(line + "\n")
+                if size + len(line) >= BATCH_CHARS and batch:
+                    fh.write("\n".join(batch + [""]).encode("utf-8"))
+                    batch, size = [], 0
+                batch.append(line)
+                size += len(line) + 1
+            fh.write("\n".join(batch + [""]).encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -238,7 +238,10 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
     ln x grows, so an upper end of ln x bounds the lower curve from above
     and the upper curve from below, the sides each check needs.  A slack
     is the difference of the two sides over cd 2^F u d, a lower bound on
-    the true slack, rounded once to the nearest float.
+    the true slack.  The least slack per side is kept as that exact
+    fraction, compared by cross-multiplication, and rounded once to the
+    nearest float for the report; rounding is monotone, so that float is
+    the least of the rounded slacks.
     """
     # Stated positively, so a NaN bound fails it too.
     if not THETA_BOUND_X_MIN <= x_lo <= x_hi <= table.limit:
@@ -248,7 +251,8 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
         )
     F = PRECISION_BITS
     failures: List[Tuple[float, str]] = []
-    min_slack = {"lower": float("inf"), "upper": float("inf")}
+    # The least slack per side as an exact pair (num, den); (1, 0) is +inf.
+    min_slack = {"lower": (1, 0), "upper": (1, 0)}
 
     def check(x, u_x, acc, side):
         # The lower curve must lie below the enclosure `acc` = (A_lo, A_hi)
@@ -260,7 +264,10 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
             num = cd * acc[0] * u_x * d - (a << F) * (cd * u_x - (cn << F))
         else:
             num = (a << F) * (cd * u_x + (cn << F)) - cd * acc[1] * u_x * d
-        min_slack[side] = min(min_slack[side], num / (cd * u_x * d << F))
+        den = cd * u_x * d << F
+        least_num, least_den = min_slack[side]
+        if num * least_den < least_num * den:
+            min_slack[side] = (num, den)
         if not num > 0:
             failures.append((float(x), side))
 
@@ -281,8 +288,8 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
         precision_bits=PRECISION_BITS,
         primes_checked=upto - below,
         checks=2 * (upto - below) + 3,
-        min_lower_slack=min_slack["lower"],
-        min_upper_slack=min_slack["upper"],
+        min_lower_slack=min_slack["lower"][0] / min_slack["lower"][1],
+        min_upper_slack=min_slack["upper"][0] / min_slack["upper"][1],
         max_enclosure_width=(acc[1] - acc[0]) / 2**F,
         failures=tuple(failures),
     )

@@ -158,6 +158,30 @@ def test_gapped_range_file_is_pinned(table_50216, tmp_path):
     assert hashlib.sha256(data).hexdigest() == CERTS_2_3000_SHA256
 
 
+def per_pair_file(n_lo, n_hi, table):
+    """The certificate file rendered one (n, k) pair at a time, with
+    find_certificate and k = 1..k_cap(n) at each n."""
+    lines = []
+    for n in range(n_lo, n_hi + 1):
+        for k in range(1, k_cap(n) + 1):
+            cert = find_certificate(n, k, table)
+            lines.append(
+                f"GAP\t{n}\t{k}"
+                if cert is None
+                else f"{n}\t{k}\t{cert.p}\t{cert.threshold}\t{cert.multiples_in_range}"
+            )
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+# [2, 400] is gapped and k_cap steps 18 times in it; [15000, 16500]
+# crosses the step k_cap(15811) = 28 -> k_cap(15812) = 29.
+@pytest.mark.parametrize("n_lo, n_hi", [(2, 400), (25, 26), (15000, 16500)])
+def test_file_matches_a_per_pair_rendering(table_50216, tmp_path, n_lo, n_hi):
+    path = tmp_path / "certs.tsv"
+    write_certificates(str(path), certify_range(n_lo, n_hi, table_50216))
+    assert path.read_bytes() == per_pair_file(n_lo, n_hi, table_50216)
+
+
 def test_every_certificate_settles_in_the_witness_kernel(full_range):
     """A second verdict on the certify range: a certificate (n, k, p) is
     the J = k case of the witness lemma, so p must settle every omitted

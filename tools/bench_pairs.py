@@ -13,7 +13,11 @@ in the parent's BENCHMARK.json this prints each side's median and
 quartiles over the seeds, how many pairs the change won (ties count for
 neither side), and whether the change shows a gain: it won at least nine
 tenths of the pairs and its median beats the parent's by more than the
-distance between the parent's quartiles.  Standard library only:
+distance between the parent's quartiles.  It prints WORSE instead when
+the change's median is worse than the parent's by more than the metric's
+``bound`` (a fraction of the parent's median), and it prints each side's
+``failed``/``attempted`` operations, summed over its runs.  Standard
+library only:
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload certify-full --seeds 1-10
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload certify-full --seeds 4242
@@ -42,8 +46,10 @@ def parse_seeds(text: str) -> List[int]:
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Tuple[bool, Dict]:
-    """One benchmark run in `checkout`: (correct, {metric: value})."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Tuple[bool, Dict, Dict]:
+    """One benchmark run in `checkout`: (correct, {metric: value},
+    {"failed": f, "attempted": a}); the counts are absent if the run
+    printed no result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -52,9 +58,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Tuple[
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(proc.stderr)
-        return False, {}
+        return False, {}, {}
     values = {name: m["value"] for name, m in result.get("metrics", {}).items()}
-    return proc.returncode == 0 and bool(result.get("correct")), values
+    counts = {key: result[key] for key in ("failed", "attempted") if key in result}
+    return proc.returncode == 0 and bool(result.get("correct")), values, counts
 
 
 def spread(values: List[float]) -> Tuple[float, float, float]:
@@ -78,16 +85,19 @@ def main(argv=None) -> int:
     if args.workload not in workloads:
         parser.error(f"--workload must be one of {', '.join(workloads)}, got {args.workload!r}")
     seconds = spec["run_seconds"]
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     sides = {"parent": args.parent, "change": args.change}
     samples: Dict[str, Dict[str, List[float]]] = {side: {} for side in sides}
+    ops = {side: {"failed": 0, "attempted": 0} for side in sides}
     all_correct = complete = True
     for seed in args.seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         pair = {}
         for side in order:
-            correct, pair[side] = run_once(sides[side], args.workload, seed, seconds)
+            correct, pair[side], counts = run_once(sides[side], args.workload, seed, seconds)
             all_correct &= correct
+            for key, value in counts.items():
+                ops[side][key] += value
             if not correct:
                 print(f"seed {seed}: {side} run failed or was not correct")
         for side, values in pair.items():
@@ -96,13 +106,15 @@ def main(argv=None) -> int:
         shown = " ".join(
             f"{name} {pair['parent'].get(name, float('nan')):.4g}->"
             f"{pair['change'].get(name, float('nan')):.4g}"
-            for name, _ in metrics
+            for name, _, _ in metrics
         )
         print(f"seed {seed} ({order[0]} first): {shown}", flush=True)
 
     print(f"{args.workload}, {len(args.seeds)} pairs, {seconds:g} s per run,"
           " median [q1, q3], parent -> change")
-    for name, better in metrics:
+    print("  failed/attempted: " + ", ".join(
+        f"{side} {ops[side]['failed']}/{ops[side]['attempted']}" for side in sides))
+    for name, better, bound in metrics:
         parent, change = samples["parent"].get(name, []), samples["change"].get(name, [])
         if len(parent) != len(args.seeds) or len(change) != len(args.seeds):
             print(f"  {name}: missing samples")
@@ -112,11 +124,16 @@ def main(argv=None) -> int:
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         (pm, pq1, pq3), (cm, cq1, cq3) = spread(parent), spread(change)
         gap, iqr = sign * (cm - pm), pq3 - pq1
-        gain = wins >= 0.9 * len(parent) and gap > iqr
+        if gap < -bound * abs(pm):
+            verdict = f"WORSE (beyond the bound {bound:g} of the parent's median)"
+        elif wins >= 0.9 * len(parent) and gap > iqr:
+            verdict = "GAIN"
+        else:
+            verdict = "no gain shown"
         print(
             f"  {name:18s} {pm:.4g} [{pq1:.4g}, {pq3:.4g}] -> {cm:.4g} [{cq1:.4g}, {cq3:.4g}];"
             f" change won {wins}/{len(parent)}; median gap {gap:+.3g} ({better} is better)"
-            f" vs parent IQR {iqr:.3g}; {'GAIN' if gain else 'no gain shown'}"
+            f" vs parent IQR {iqr:.3g}; {verdict}"
         )
     return 0 if all_correct and complete else 1
 
