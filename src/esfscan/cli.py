@@ -12,10 +12,8 @@ import argparse
 import math
 import sys
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from fractions import Fraction
 from typing import List, Optional
-
-from mpmath import mpf
-from mpmath.libmp import to_rational
 
 from .certify import certify_range, write_certificates
 from .checkpoint import CheckpointError, probe_outputs
@@ -158,10 +156,10 @@ def _cmd_theta(args) -> int:
     return 0 if report.passed else UNEXPECTED_FINDING
 
 
-def _directed(x: mpf, rounding: str) -> Decimal:
+def _directed(x: Fraction, rounding: str) -> Decimal:
     """x rounded to MARGIN_DIGITS significant digits in one direction."""
-    num, den = to_rational(x._mpf_)
-    return Context(prec=MARGIN_DIGITS, rounding=rounding).divide(Decimal(num), Decimal(den))
+    context = Context(prec=MARGIN_DIGITS, rounding=rounding)
+    return context.divide(Decimal(x.numerator), Decimal(x.denominator))
 
 
 def _cmd_margin(args) -> int:

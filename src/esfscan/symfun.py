@@ -35,8 +35,8 @@ Independent oracles (polynomial expansion for the full set, direct
 subset enumeration for omit-one) and the closed forms for n = k+1 and
 n = k+2 are provided for cross-checking; they work in fractions and
 share no code with the recursion path.  The subset-size cap
-:func:`k_cap` is an interval bound at the one working precision of
-:mod:`esfscan.theta`.
+:func:`k_cap` is read from the exact enclosure of b(n) = e*ln(n) + e
+in :mod:`esfscan.theta`.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ ORACLE_BOUND = 20
 
 def _floor_b(n: int) -> int:
     """floor of the upper end of the enclosure of b(n) = e*ln(n) + e."""
-    # int() truncates the exact upper endpoint, which is positive: its floor.
+    # int() truncates the exact upper end, a positive Fraction: its floor.
     return int(subset_size_bound(n).b)
 
 
@@ -80,8 +80,9 @@ def _cap_start(c: int) -> int:
 def k_cap(n: int) -> int:
     """Largest subset size k that must be scanned at n.
 
-    This is the largest integer below min(n, e*ln(n) + e), evaluated in
-    interval arithmetic at the package's one working precision.  Ties are
+    This is the largest integer below min(n, e*ln(n) + e), read from the
+    exact ``Fraction`` enclosure ``theta.subset_size_bound`` (n), which
+    rests on the integer artanh lemma and the e series there.  Ties are
     resolved conservatively upward: if the enclosure of e*ln(n) + e
     touches an integer, that integer is included (scanning one extra k is
     cheap; missing one would break coverage).
@@ -97,7 +98,7 @@ def k_cap(n: int) -> int:
     it is the c with _cap_start(c) <= n < _cap_start(c + 1).  That is the
     floor of the enclosure's upper end at n because that floor is
     nondecreasing in n: b(n) rises by e*ln(1 + 1/n) > e/(n+1) per step,
-    far more than the enclosure's width (about 1e-37) for every n below
+    far more than the enclosure's width (about 8e-39) for every n below
     1e30, so the upper end rises too.  A float guess of the cap chooses
     where to start; every verdict comes from the enclosure, and a run of
     n with one cap costs its two breakpoints, about four enclosures.

@@ -1,45 +1,38 @@
 """Chebyshev prime-log sums and the analytic-case inequality checks.
 
 Everything here evaluates strict inequalities that are claimed to hold
-exactly, so plain floating point is not good enough.  The theta checks
-run on fixed-point integers l <= 2^F ln x <= u with F =
-``PRECISION_BITS``, and from there on in exact integer arithmetic: the
-prime-log sum is a pair of integer sums and every check is one integer
-inequality.  The trust base of those integers is small:
+exactly, so plain floating point is not good enough.  Every quantity is
+enclosed by exact integers or ``fractions.Fraction`` ends, and every
+check is an exact comparison between opposing ends, so a reported pass
+is rigorous.  The trust base is two lemmas, each proved in its
+docstring:
 
-* mpmath's outward-rounded logarithm (``mpmath.libmp.mpi_log``, the
-  routine behind ``iv.log``) at three points only: ln 2, where the prime
-  chain starts, and the two ends x_lo and x_hi of a checked range
-  (:func:`_log_fixed`, floored and ceiled to F bits);
-* the integer artanh lemma (:func:`_artanh_fixed`), which carries the
-  enclosure from each prime p to the next prime q through
-  ln q = ln p + 2 artanh((q - p)/(q + p)) in plain integers
-  (:func:`_prime_logs`).
+* the integer artanh lemma (:func:`_artanh_fixed`), integers
+  L <= 2^G artanh(d/s) < L + 4J + 2 for 0 < d/s <= 1/3.  Every logarithm
+  comes from it: each prime's from the previous prime's through
+  ln q = ln p + 2 artanh((q - p)/(q + p)) (:func:`_prime_logs`), and that
+  of any rational x >= 1 from
+  ln x = 2j artanh(1/3) + 2 artanh((x - 2^j)/(x + 2^j)) with
+  2^j <= x < 2^(j+1) (:func:`_log_fixed`);
+* the e series (:func:`_e_fixed`), integers E <= 2^G e < E + 2J + 4.
 
-The margin check and the subset-size bound b(n) run in mpmath interval
-arithmetic (outward-rounded enclosures).  A check passes only when it
-holds between opposing endpoints, so a reported pass is rigorous at the
-stated precision.
+The theta checks run on fixed-point integers l <= 2^F ln x <= u with F =
+``PRECISION_BITS`` and from there on in integers: the prime-log sum is a
+pair of integer sums and every check is one integer inequality.  The
+subset-size bound b(n) = e ln n + e (which ``symfun.k_cap`` reads) and the
+margin check are ``Fraction`` enclosures built from the same integers.
 
 There is one working precision, ``PRECISION_BITS`` = 128 bits, and every
-report states it.  Every interval evaluation here (``symfun.k_cap``
-reads b(n) from :func:`subset_size_bound`) runs in one precision scope,
-:func:`working_precision`, which sets the interval and the point
-precision together and restores both, so endpoint conversions, slacks
-and midpoints never depend on the caller's global mpmath precision; the
-log enclosures pass the precision to ``mpi_log`` explicitly, and the
-artanh chain reads no mpmath precision at all.  No other code in the
-package sets an mpmath precision.
+report states it.  Nothing here reads a global precision or a rounding
+mode.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, List, Tuple
-
-from mpmath import iv, libmp, mp, mpf
+from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 from .primes import PrimeTable
 
@@ -66,43 +59,18 @@ def precision_bits() -> int:
     return PRECISION_BITS
 
 
-@contextmanager
-def working_precision() -> Iterator[None]:
-    """Run the body with ``iv.prec`` and ``mp.prec`` both at ``PRECISION_BITS``."""
-    saved = iv.prec, mp.prec
-    iv.prec = mp.prec = PRECISION_BITS
-    try:
-        yield
-    finally:
-        iv.prec, mp.prec = saved
-
-
 @dataclass(frozen=True)
 class ThetaValue:
-    value: mpf  # enclosure midpoint
+    value: Fraction  # enclosure midpoint, exact
     error_bound: float  # conservative absolute error (full enclosure width)
     precision_bits: int
 
 
-def subset_size_bound(n: int) -> iv.mpf:
-    """The enclosure of b(n) = e*ln(n) + e, for ``symfun.k_cap`` and :func:`case1_margin`."""
-    with working_precision():
-        return iv.e * iv.log(iv.mpf(n)) + iv.e
+class Enclosure(NamedTuple):
+    """Exact ends a <= b of an enclosure."""
 
-
-def _log_fixed(x: float) -> Tuple[int, int]:
-    """Integers l <= 2^F ln x <= u, F = PRECISION_BITS, from mpmath's outward-rounded log.
-
-    x (an int or a float) is an exact dyadic rational, so the point
-    interval [x, x] is exact; ``mpi_log`` rounds its ends down and up at
-    F bits, and the fixed-point conversion floors l and ceils u.
-    """
-    a, d = x.as_integer_ratio()
-    if d & (d - 1):
-        raise ValueError(f"x={x} is not a dyadic rational")
-    point = libmp.from_man_exp(a, 1 - d.bit_length())
-    lo, hi = libmp.mpi_log((point, point), PRECISION_BITS)
-    return libmp.to_fixed(lo, PRECISION_BITS), -libmp.to_fixed(libmp.mpf_neg(hi), PRECISION_BITS)
+    a: Fraction
+    b: Fraction
 
 
 def _artanh_fixed(d: int, s: int) -> Tuple[int, int]:
@@ -138,6 +106,67 @@ def _artanh_fixed(d: int, s: int) -> Tuple[int, int]:
         term = term * d2 // s2
         j += 1
     return total, total + 4 * j + 2
+
+
+_ARTANH_THIRD = _artanh_fixed(1, 3)  # artanh(1/3) = (ln 2)/2
+
+
+def _log_fixed(x) -> Tuple[int, int]:
+    """Integers l <= 2^F ln x <= u, F = PRECISION_BITS, for a rational x >= 1.
+
+    x is an int, a float or a ``Fraction``; write x = a/d and take j with
+    2^j <= x < 2^(j+1).  Then ln x = j ln 2 + ln(x/2^j), where
+    ln 2 = 2 artanh(1/3) and ln(x/2^j) = 2 artanh((a - 2^j d)/(a + 2^j d)).
+    That argument lies in [0, 1/3), and it is 0, so the term vanishes,
+    exactly when x = 2^j.  The lemma (:func:`_artanh_fixed`) encloses
+    each artanh at G = CHAIN_BITS bits, and the enclosure of the sum is
+    floored at its lower end and ceiled at its upper end to F bits.
+    x < 1 raises ``ValueError``.
+    """
+    a, d = x.as_integer_ratio()
+    if a < d:
+        raise ValueError(f"need x >= 1, got {x}")
+    j = (a // d).bit_length() - 1
+    l, u = _artanh_fixed(a - (d << j), a + (d << j)) if a != d << j else (0, 0)
+    lo, hi = 2 * (j * _ARTANH_THIRD[0] + l), 2 * (j * _ARTANH_THIRD[1] + u)
+    return lo >> _GUARD_BITS, -(-hi >> _GUARD_BITS)
+
+
+def _e_fixed() -> Tuple[int, int]:
+    """Integers E <= 2^G e < E + 2J + 4, G = CHAIN_BITS, from e = sum_{j>=0} 1/j!.
+
+    Set t_0 = 2^G and t_j = floor(t_{j-1}/j).  By induction on j,
+
+        2^G/j! - 2 < t_j <= 2^G/j!:
+
+    t_1 = t_0, and for j >= 2, t_j <= t_{j-1}/j <= 2^G/j! while
+    t_j > t_{j-1}/j - 1 > 2^G/j! - 2/j - 1 >= 2^G/j! - 2.  Let J be the
+    first j with t_J = 0 (t_j falls at least by half from j = 2 on, so J
+    exists) and E = t_0 + ... + t_{J-1}.  Each t_j <= 2^G/j! and every
+    term of the series is positive, so E <= 2^G e.  The first J terms
+    lose less than 2J.  t_J = 0 gives 2^G/J! < 2, so the tail is
+    2^G sum_{j>=J} 1/j! <= (2^G/J!)(1 + 1/(J+1) + 1/(J+1)^2 + ...)
+    <= 2 * 2^G/J! < 4.  Hence 2^G e < E + 2J + 4.
+    """
+    term, total, j = 1 << CHAIN_BITS, 0, 0
+    while term:
+        total += term
+        j += 1
+        term //= j
+    return total, total + 2 * j + 4
+
+
+_E = tuple(Fraction(end, 1 << CHAIN_BITS) for end in _e_fixed())  # e's ends, once
+
+
+def subset_size_bound(n: int) -> Enclosure:
+    """Fractions a <= b(n) = e*ln(n) + e <= b, for ``symfun.k_cap`` and :func:`case1_margin`.
+
+    b(n) = e (ln n + 1), and both factors are positive for n >= 1, so the
+    products of their like ends enclose it.
+    """
+    ln_lo, ln_hi = (Fraction(end, 1 << PRECISION_BITS) for end in _log_fixed(n))
+    return Enclosure(_E[0] * (ln_lo + 1), _E[1] * (ln_hi + 1))
 
 
 def _prime_logs(primes: Iterable[int]) -> Iterator[Tuple[int, int]]:
@@ -182,8 +211,7 @@ def theta(x: float, table: PrimeTable) -> ThetaValue:
     if x > table.limit:
         raise ValueError(f"x={x} beyond prime table limit {table.limit}")
     lo, hi = _prime_log_sum(x, table)
-    mid = mp.make_mpf(libmp.from_man_exp(lo + hi, -PRECISION_BITS - 1))  # exact
-    return ThetaValue(mid, (hi - lo) / 2**PRECISION_BITS, PRECISION_BITS)
+    return ThetaValue(Fraction(lo + hi, 1 << (PRECISION_BITS + 1)), (hi - lo) / 2**PRECISION_BITS, PRECISION_BITS)
 
 
 @dataclass(frozen=True)
@@ -214,13 +242,11 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
     range, plus the interval endpoints, covers every real x in between.
 
     Each check is one exact integer inequality.  Write F = PRECISION_BITS,
-    x = a/d (x is an int or a float, so a dyadic rational) and c = cn/cd
-    for either coefficient; both are positive.  Every prime's log comes
-    as integers l_p <= 2^F ln p <= u_p from one streamed pass of the
-    artanh chain (:func:`_prime_logs`, which starts from ln 2), and the
-    two endpoints' logs from :func:`_log_fixed`, which floors the lower
-    end and ceils the upper end of mpmath's outward-rounded enclosure;
-    those are the check's three ``mpi_log`` calls.  The integer sums
+    x = a/d (x is an int, a float or a ``Fraction``) and c = cn/cd for
+    either coefficient; both are positive.  Every prime's log comes as
+    integers l_p <= 2^F ln p <= u_p from one streamed pass of the artanh
+    chain (:func:`_prime_logs`, which starts from ln 2), and the two
+    endpoints' logs from :func:`_log_fixed`, the same lemma.  The integer sums
     A_lo = sum l_p and A_hi = sum u_p add no rounding, so
     A_lo <= 2^F theta <= A_hi on the plateau.  With
     u = u_x >= 2^F ln x > 0 we have 1/ln x >= 2^F/u, hence
@@ -311,17 +337,16 @@ class MarginReport:
     """
 
     n: int
-    margin_lo: mpf
-    margin_hi: mpf
+    margin_lo: Fraction
+    margin_hi: Fraction
     aux_product_ok: bool
     aux_square_ok: bool
     window_in_theta_domain: bool
     precision_bits: int
 
     @property
-    def margin(self) -> mpf:
-        with working_precision():
-            return (self.margin_lo + self.margin_hi) / 2
+    def margin(self) -> Fraction:
+        return (self.margin_lo + self.margin_hi) / 2
 
     @property
     def passed(self) -> bool:
@@ -334,7 +359,7 @@ class MarginReport:
 
 
 def case1_margin(n: int) -> MarginReport:
-    """Evaluate the analytic margin at n >= 50217 in interval arithmetic.
+    """Evaluate the analytic margin at n >= 50217 on exact enclosures.
 
     One passing check at n = 50217 covers every larger n.  Write L = ln n,
     b = eL + e and x = b + 3.  The prefactor n/(b+1) is positive and so is
@@ -365,28 +390,42 @@ def case1_margin(n: int) -> MarginReport:
     exists only when the enclosure of b(n) reaches an integer) needs no
     window: k > e(ln n + 1), so omit(n, i, k) < 1 by the bound in the
     ``symfun.k_cap`` docstring.  ``tests/test_theta.py`` checks these
-    bounds in interval arithmetic, and the four facts at every integer
-    k <= k_cap(n) for four n.
+    bounds against an independent reference, and the four facts at every
+    integer k <= k_cap(n) for four n.
+
+    What the step proves depends on the theta range checked.  The margin
+    bounds theta(n/(k+1)) - theta(n/(k+3)) from below, so it reads the
+    theta bound at both ends of every window, and at k = 1 the top end is
+    n/2.  A theta check on [1429, X] (:func:`check_theta_bounds`) therefore
+    proves the step for MARGIN_N_MIN <= n <= 2X, and no further: at
+    n = 2X + 1 the k = 1 window reaches past X.  With the checked range
+    [1429, 50216] that is 50217 <= n <= 100,432; above it the theta bound
+    is an input, not a checked fact.
+
+    The enclosure is exact arithmetic on ``Fraction`` ends.  b lies in
+    [a, b] = :func:`subset_size_bound` (n); n/(b+1), 2/(b+3) and
+    ln(n/(b+3)) each fall as b grows, so each takes its ends at b's ends,
+    the log's from :func:`_log_fixed`.  The prefactor is positive and the
+    bracket may have either sign, so the product's enclosure is the least
+    and the largest of the four products of their ends.  The auxiliary
+    inequalities and the window bottom rise or fall with b, so each is
+    one exact comparison at the upper end of b.
     """
     if n < MARGIN_N_MIN:
         raise ValueError(f"margin check applies for n >= {MARGIN_N_MIN}, got {n}")
-    with working_precision():
-        n_iv = iv.mpf(n)
-        b = subset_size_bound(n)
-        c355 = iv.mpf(355) / 1000
-        margin = (n_iv / (b + 1)) * (2 / (b + 3) - c355 / iv.log(n_iv / (b + 3)))
-        # Every endpoint converts exactly, so the comparisons below are
-        # exact and [lo, hi] stays an outward enclosure.
-        aux_product = mpf(n_iv.a) > mpf(((b + 3) * (3 * b + 8)).b)
-        aux_square = mpf(n_iv.a) > mpf(((b + 2) * (b + 3) ** 2 / 2).b)
-        in_domain = mpf((n_iv / (b + 3)).a) >= THETA_BOUND_X_MIN
-        lo, hi = mpf(margin.a), mpf(margin.b)
+    b_lo, b_hi = subset_size_bound(n)
+    one, c355 = 1 << PRECISION_BITS, Fraction(355, 1000)
+    ln_lo = Fraction(_log_fixed(n / (b_hi + 3))[0], one)
+    ln_hi = Fraction(_log_fixed(n / (b_lo + 3))[1], one)
+    prefactor = (n / (b_hi + 1), n / (b_lo + 1))
+    bracket = (2 / (b_hi + 3) - c355 / ln_lo, 2 / (b_lo + 3) - c355 / ln_hi)
+    products = [p * q for p in prefactor for q in bracket]
     return MarginReport(
         n=n,
-        margin_lo=lo,
-        margin_hi=hi,
-        aux_product_ok=aux_product,
-        aux_square_ok=aux_square,
-        window_in_theta_domain=in_domain,
+        margin_lo=min(products),
+        margin_hi=max(products),
+        aux_product_ok=n > (b_hi + 3) * (3 * b_hi + 8),
+        aux_square_ok=n > (b_hi + 2) * (b_hi + 3) ** 2 / 2,
+        window_in_theta_domain=n / (b_hi + 3) >= THETA_BOUND_X_MIN,
         precision_bits=PRECISION_BITS,
     )

@@ -42,8 +42,11 @@ GOLDEN_FULL = {
 def mpmath_precision_restored():
     """Fail any test that leaves the global mpmath precisions changed.
 
-    A leaked precision would let a later test pass or fail for a reason
-    of its own: every precision change must be scoped.
+    The package does not use mpmath; the tests use it as an independent
+    reference (256-bit logs, e and b(n), and 128-bit restatements of the
+    margin bounds), each in a precision scope of its own.  A leaked
+    precision would let a later test pass or fail for a reason of its
+    own: every precision change must be scoped.
     """
     before = mp.prec, iv.prec
     yield

@@ -139,6 +139,16 @@ class TestCapBreakpoints:
         points = sorted({m for s in starts for m in (s - 1, s, s + 1) if m >= 2})
         assert [m for m in points if k_cap(m) != min(m - 1, floor_b(m))] == []
 
+    def test_breakpoints_match_a_256_bit_reference(self):
+        # Independent of the package's enclosure: the least n >= 2 with
+        # e*ln(n) + e >= c, located by mpmath at 256 bits.
+        with mp.workprec(256):
+            b = lambda m: mp.e * mp.log(m) + mp.e
+            for c in range(1, 61):
+                n = max(2, int(mp.ceil(mp.exp(mp.mpf(c) / mp.e - 1))))
+                assert b(n) >= c and (n == 2 or b(n - 1) < c), c
+                assert _cap_start(c) == n, c
+
     def test_matches_per_n_enclosure_at_random_n(self):
         rng = random.Random(14)
         points = [rng.randrange(2, 10**9) for _ in range(300)]

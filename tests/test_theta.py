@@ -1,11 +1,17 @@
 import importlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from mpmath import iv, mp, mpf
+from mpmath import iv, libmp, mp, mpf
 
+import esfscan
 from esfscan.symfun import k_cap
 from esfscan.theta import (
     MARGIN_N_MIN,
@@ -17,7 +23,6 @@ from esfscan.theta import (
     subset_size_bound,
     theta,
     _log_fixed,
-    working_precision,
 )
 
 # The package re-exports the function theta(), which shadows the module name.
@@ -26,13 +31,30 @@ REFERENCE_BITS = 256
 
 
 @contextmanager
-def _reference_precision():
+def _reference_precision(bits=REFERENCE_BITS):
     saved = iv.prec, mp.prec
-    iv.prec = mp.prec = REFERENCE_BITS
+    iv.prec = mp.prec = bits
     try:
         yield
     finally:
         iv.prec, mp.prec = saved
+
+
+def _fraction(x):
+    """The exact value of an interval end as a Fraction; call it inside the
+    interval's own precision scope, where converting the end is exact."""
+    return Fraction(*libmp.to_rational(mpf(x)._mpf_))
+
+
+def _mpf(q):
+    """A Fraction as an mpf, rounded at the current mp precision."""
+    return mpf(q.numerator) / q.denominator
+
+
+def _reference_log(x):
+    """A 256-bit interval enclosure of ln x for a rational x (int, float or Fraction)."""
+    a, d = x.as_integer_ratio()
+    return iv.log(iv.mpf(a) / d)
 
 
 def _interval_reference(x_lo, x_hi, table):
@@ -75,14 +97,14 @@ class TestTheta:
         result = theta(10, table_5000)
         with mp.workdps(40):
             expected = mp.log(2 * 3 * 5 * 7)
-            assert abs(result.value - expected) <= result.error_bound + mp.mpf(10) ** -25
+            assert abs(_mpf(result.value) - expected) <= result.error_bound + mp.mpf(10) ** -25
         assert result.error_bound < 1e-25
 
     def test_jump_at_prime(self, table_5000):
         below = theta(28.9, table_5000)
         at = theta(29, table_5000)
         with mp.workdps(40):
-            gap = at.value - below.value
+            gap = _mpf(at.value) - _mpf(below.value)
             assert abs(gap - mp.log(29)) <= at.error_bound + below.error_bound + mp.mpf(10) ** -20
 
     def test_value_within_claimed_interval_at_domain_edge(self, table_5000):
@@ -147,20 +169,40 @@ class TestThetaBounds:
 
 class TestIntegerChecks:
     X_POINTS = (1429, 1429.5, 2000.25, 50216)
+    # A non-dyadic point, 1 (where ln x = 0) and powers of two (where only
+    # the 2j artanh(1/3) term is read).
+    RATIONAL_POINTS = (Fraction(4289, 3), 1, *(2**j for j in range(1, 301)))
 
     def test_log_enclosure_contains_a_256_bit_log(self, table_5000):
         F = PRECISION_BITS
-        for x in table_5000.primes + self.X_POINTS:
+        for x in table_5000.primes + self.X_POINTS + self.RATIONAL_POINTS:
             lo, hi = _log_fixed(x)
             assert 0 <= hi - lo <= 2 ** (F - 120), x
             with _reference_precision():
-                ref = iv.log(iv.mpf(x))
+                ref = _reference_log(x)
                 # Scaling by 2^F is exact, so these comparisons are too.
                 assert lo <= mpf(ref.a) * 2**F and mpf(ref.b) * 2**F <= hi, x
 
-    def test_non_dyadic_point_rejected(self):
-        with pytest.raises(ValueError, match="dyadic"):
-            _log_fixed(Fraction(4289, 3))
+    @pytest.mark.parametrize("x", [0.5, Fraction(4288, 4289), 0, -3])
+    def test_points_below_one_rejected(self, x):
+        with pytest.raises(ValueError, match="x >= 1"):
+            _log_fixed(x)
+
+    def test_e_series_contains_a_256_bit_e(self):
+        G = theta_module.CHAIN_BITS
+        lo, hi = theta_module._e_fixed()
+        with _reference_precision():
+            assert lo <= mpf(iv.e.a) * 2**G and mpf(iv.e.b) * 2**G <= hi
+        # The allowance 2J + 4 stays small: J < G terms.
+        assert 4 < hi - lo <= 2 * G + 4
+
+    def test_subset_size_bound_contains_a_256_bit_b(self):
+        for n in (1, 2, 3, 1429, MARGIN_N_MIN, 10**5, 10**9, 2**64, 10**30 + 7):
+            a, b = subset_size_bound(n)
+            assert 0 < b - a < 2**-120, n
+            with _reference_precision():
+                ref = iv.e * iv.log(iv.mpf(n)) + iv.e
+                assert a <= _fraction(ref.a) and _fraction(ref.b) <= b, n
 
     @pytest.mark.parametrize("x_lo, x_hi", [(1429, 5000), (1429.5, 2000.25)])
     def test_matches_the_interval_reference(self, table_5000, x_lo, x_hi):
@@ -211,9 +253,9 @@ class TestMargin:
 
     def test_check_at_boundary_covers_every_larger_n(self):
         # The three bounds of the case1_margin docstring, in 128-bit intervals.
-        with working_precision():
+        with _reference_precision(PRECISION_BITS):
             e, n = iv.e, iv.mpf(MARGIN_N_MIN)
-            b = subset_size_bound(MARGIN_N_MIN)
+            b = iv.e * iv.log(n) + iv.e
             slope = 2 - 2 * e / (e + 3) - iv.mpf(355) / 1000 * e
             assert mpf(slope.a) > 0.0842
             d_product = e / n * (6 * b + 17)
@@ -233,11 +275,11 @@ class TestMargin:
         # to every integer k <= k_cap(n); check each of them at each such k.
         report = case1_margin(n)
         margins = []
-        with working_precision():
+        with _reference_precision(PRECISION_BITS):
             n_iv, c355 = iv.mpf(n), iv.mpf(355) / 1000
             for k in range(1, k_cap(n) + 1):
                 margin = (n_iv / (k + 1)) * (2 / iv.mpf(k + 3) - c355 / iv.log(n_iv / (k + 3)))
-                margins.append((mpf(margin.a), mpf(margin.b)))
+                margins.append((_fraction(margin.a), _fraction(margin.b)))
                 assert n > (k + 3) * (3 * k + 8) and 2 * n > (k + 2) * (k + 3) ** 2, k
                 assert n >= THETA_BOUND_X_MIN * (k + 3), k  # window bottom n/(k+3)
         # The margin falls as k rises, and its least value over k is still
@@ -255,15 +297,24 @@ class TestMargin:
         assert coarse_margin == fine.margin
         assert fine.margin_lo < fine.margin_hi
 
-
-class TestWorkingPrecision:
-    def test_sets_and_restores_both(self):
-        before = mp.prec, iv.prec
-        with pytest.raises(RuntimeError):
-            with working_precision():
-                assert mp.prec == iv.prec == PRECISION_BITS
-                raise RuntimeError
-        assert (mp.prec, iv.prec) == before
+    def test_proved_range_follows_from_the_theta_range(self):
+        # The chain checks theta on [1429, X], X = MARGIN_N_MIN - 1; the
+        # margin reads theta on every window [n/(k+3), n/(k+1)], k <= k_cap(n).
+        x_hi = MARGIN_N_MIN - 1
+        # Bottom end: the worst window bottom n/(b+3) enters the theta
+        # domain at MARGIN_N_MIN, and not one n earlier.
+        assert MARGIN_N_MIN / (subset_size_bound(MARGIN_N_MIN).b + 3) >= THETA_BOUND_X_MIN
+        below = MARGIN_N_MIN - 1
+        assert below / (subset_size_bound(below).a + 3) < THETA_BOUND_X_MIN
+        # Top end: the highest window top is n/2, at k = 1, so the proved
+        # range ends at n = 2X, and it is tight: n = 2X + 1 reads past X.
+        n_hi = 2 * x_hi
+        assert n_hi == 100432
+        for n in (MARGIN_N_MIN, n_hi):
+            windows = [(Fraction(n, k + 3), Fraction(n, k + 1)) for k in range(1, k_cap(n) + 1)]
+            assert all(THETA_BOUND_X_MIN <= bottom < top <= x_hi for bottom, top in windows), n
+            assert max(top for _, top in windows) == windows[0][1] == Fraction(n, 2)
+        assert Fraction(n_hi + 1, 2) > x_hi
 
 
 class TestPrecisionConfig:
@@ -312,21 +363,31 @@ class TestArtanhChain:
                 # Scaling by 2^F is exact, so these comparisons are too.
                 assert lo <= mpf(ref.a) * 2**F and mpf(ref.b) * 2**F <= hi, p
 
-    def test_three_mpi_log_calls_on_the_production_range(self, table_50216, monkeypatch):
-        # ln 2 for the chain, then ln x_lo and ln x_hi for the endpoint checks;
-        # theta() reads the chain alone.
-        calls = []
-        mpi_log = theta_module.libmp.mpi_log
-
-        def counting(*args):
-            calls.append(args)
-            return mpi_log(*args)
-
-        monkeypatch.setattr(theta_module.libmp, "mpi_log", counting)
-        assert check_theta_bounds(1429, 50216, table_50216).passed
-        assert len(calls) == 3
-        theta(50216, table_50216)
-        assert len(calls) == 4
+    def test_run_time_loads_no_mpmath(self):
+        # mpmath is a test reference only: a fresh process that runs every
+        # enclosure and both CLI checks must never import it.
+        code = textwrap.dedent(
+            """
+            import io, sys
+            from contextlib import redirect_stdout
+            import esfscan, esfscan.cli
+            from esfscan import case1_margin, check_theta_bounds, k_cap, sieve, theta
+            table = sieve(5000)
+            assert k_cap(10**6) == 40 and case1_margin(50217).passed
+            assert check_theta_bounds(1429, 5000, table).passed and theta(5000, table).value > 0
+            with redirect_stdout(io.StringIO()):
+                assert esfscan.cli.main(["margin", "50217"]) == 0
+                assert esfscan.cli.main(["theta", "--x-lo", "1429", "--x-hi", "3000"]) == 0
+            print(sorted(name for name in sys.modules if name.startswith("mpmath")))
+            """
+        )
+        src = str(Path(esfscan.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_cli_on_the_production_range(self, run_cli):
         code, text = run_cli(["theta", "--x-lo", "1429", "--x-hi", "50216"])
