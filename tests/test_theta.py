@@ -169,9 +169,9 @@ class TestThetaBounds:
 
 class TestIntegerChecks:
     X_POINTS = (1429, 1429.5, 2000.25, 50216)
-    # A non-dyadic point, 1 (where ln x = 0) and powers of two (where only
-    # the 2j artanh(1/3) term is read).
-    RATIONAL_POINTS = (Fraction(4289, 3), 1, *(2**j for j in range(1, 301)))
+    # 1 (where ln x = 0) and powers of two (where only the 2j artanh(1/3)
+    # term is read).
+    RATIONAL_POINTS = (1, *(2**j for j in range(1, 301)))
 
     def test_log_enclosure_contains_a_256_bit_log(self, table_5000):
         F = PRECISION_BITS
@@ -182,6 +182,18 @@ class TestIntegerChecks:
                 ref = _reference_log(x)
                 # Scaling by 2^F is exact, so these comparisons are too.
                 assert lo <= mpf(ref.a) * 2**F and mpf(ref.b) * 2**F <= hi, x
+
+    def test_non_dyadic_point_enclosed(self):
+        # 4289/3 has no finite binary expansion; its log is still enclosed.
+        F = PRECISION_BITS
+        x = Fraction(4289, 3)
+        lo, hi = _log_fixed(x)
+        assert 0 <= hi - lo <= 2 ** (F - 120)
+        with _reference_precision():
+            ref = _reference_log(x)
+            assert lo <= mpf(ref.a) * 2**F and mpf(ref.b) * 2**F <= hi
+        # The enclosure separates x from the dyadic points on either side.
+        assert _log_fixed(1429)[1] < lo and hi < _log_fixed(1430)[0]
 
     @pytest.mark.parametrize("x", [0.5, Fraction(4288, 4289), 0, -3])
     def test_points_below_one_rejected(self, x):
