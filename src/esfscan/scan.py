@@ -3,16 +3,16 @@
 The scan tests every omit-one value at 1 <= i <= n, 1 <= k <= k_cap(n)
 for integrality, one n at a time.  From one n to the next it carries the
 hits and, in each process, only the witness kernel's bounded cache of
-tables that are pure functions of (p, floor(n/p), k_max).  Its hot path is the p-adic witness kernel of
-:mod:`esfscan.witness`: a prime p > sqrt(n) that shows
-v_p(omit(n, i, k)) < 0 settles the triple in mod-p arithmetic, with no
-exact value.  Only the triples no witness settles (none above n = 27),
-and at n <= ORACLE_CROSSCHECK_MAX every triple, are evaluated exactly,
-through ``symfun.omit_sweep`` on a full-set row the worker builds for
-that n; a hit is reported only from an exact value, and every exact
-value passes an identity self-check.  Up to ORACLE_CROSSCHECK_MAX every
-exact value is also compared with subset enumeration and every witness
-with the exact valuation.
+tables that are pure functions of (p, floor(n/p), k_max).  Its hot path
+is the p-adic witness kernel of :mod:`esfscan.witness`: a prime
+p > sqrt(n) that shows v_p(omit(n, i, k)) < 0 settles the triple in
+mod-p arithmetic, with no exact value.  Only the triples no witness
+settles (none above n = 27), and at n <= ORACLE_CROSSCHECK_MAX every
+triple, are evaluated exactly, through ``symfun.omit_sweep`` on a
+full-set row the worker builds for that n; a hit is reported only from
+an exact value, and every exact value passes an identity self-check.
+Up to ORACLE_CROSSCHECK_MAX every exact value is also compared with
+subset enumeration and every witness with the exact valuation.
 
 The scan is one loop over n, and one n, with all of its indices, is one
 task whose result does not depend on what the cache holds.  One worker,

@@ -41,11 +41,12 @@ in :mod:`esfscan.theta`.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .rational import Rational, make_rational
 from .theta import subset_size_bound
@@ -54,26 +55,38 @@ from .theta import subset_size_bound
 ORACLE_BOUND = 20
 
 
-def _floor_b(n: int) -> int:
-    """floor of the upper end of the enclosure of b(n) = e*ln(n) + e."""
-    # int() truncates the exact upper end, a positive Fraction: its floor.
-    return int(subset_size_bound(n).b)
+def _least(pred: Callable[[int], bool], guess: int) -> int:
+    """The least m >= 2 with pred(m), for a pred that is false, then true, on m >= 2.
+
+    ``guess`` only says where to start.  The search keeps a bracket
+    no < answer <= yes, with pred(no) false (or no = 1) and pred(yes) true.
+    It steps up from the guess by 1, 2, 4, ... while pred is false there,
+    or, if pred holds at the guess, down by 1, 2, 4, ... while it still
+    holds; ``bisect`` then closes the bracket.  A right guess costs two
+    calls of pred and a guess d away O(log d), so a wrong pred yields a
+    prompt wrong answer, not one call per step.  A bracket wider than
+    ``sys.maxsize``, which only a guess off by more than 2^62 leaves,
+    makes ``bisect`` raise ``OverflowError``.
+    """
+    no, yes, step = 1, max(2, guess), 1
+    while not pred(yes):
+        no, yes, step = yes, yes + step, 2 * step
+    while no == 1 and yes > 2:  # no is still 1 only if pred held at the guess
+        m = max(2, yes - step)
+        no, yes, step = (no, m, 2 * step) if pred(m) else (m, yes, step)
+    return bisect.bisect_left(range(no + 1, yes), True, key=pred) + no + 1
 
 
 @lru_cache(maxsize=None)
 def _cap_start(c: int) -> int:
-    """The least n >= 2 with _floor_b(n) >= c.
+    """The least n >= 2 at which the floor of b(n)'s upper end is >= c.
 
-    The float guess ceil(exp(c/e - 1)) only says where to start; the
-    enclosure decides each step, up while n does not qualify, then down
-    while n - 1 still does.
+    b(n) = e*ln(n) + e is enclosed by ``theta.subset_size_bound`` (n), and
+    int() truncates the exact upper end, a positive Fraction: its floor.
+    The float guess ceil(exp(c/e - 1)) only says where :func:`_least`
+    starts; the enclosure decides every step of the search.
     """
-    n = max(2, math.ceil(math.exp(c / math.e - 1)))
-    while _floor_b(n) < c:
-        n += 1
-    while n > 2 and _floor_b(n - 1) >= c:
-        n -= 1
-    return n
+    return _least(lambda n: int(subset_size_bound(n).b) >= c, math.ceil(math.exp(c / math.e - 1)))
 
 
 @lru_cache(maxsize=None)
@@ -99,18 +112,16 @@ def k_cap(n: int) -> int:
     floor of the enclosure's upper end at n because that floor is
     nondecreasing in n: b(n) rises by e*ln(1 + 1/n) > e/(n+1) per step,
     far more than the enclosure's width (about 8e-39) for every n below
-    1e30, so the upper end rises too.  A float guess of the cap chooses
-    where to start; every verdict comes from the enclosure, and a run of
-    n with one cap costs its two breakpoints, about four enclosures.
+    1e30, so the upper end rises too.  :func:`_least` finds the least c
+    with _cap_start(c) > n from the float guess e*ln(n) + e + 1, and
+    _cap_start finds each breakpoint the same way.  A right guess costs
+    two calls at each level, so a run of n with one cap costs its two
+    breakpoints, about four enclosures; a guess d away costs O(log d).
     """
     if n < 2:
         raise ValueError("k_cap requires n >= 2")
-    c = int(math.e * math.log(n) + math.e)
-    while _cap_start(c) > n:
-        c -= 1
-    while _cap_start(c + 1) <= n:
-        c += 1
-    return min(n - 1, c)
+    c = _least(lambda c: _cap_start(c) > n, int(math.e * math.log(n) + math.e) + 1)
+    return min(n - 1, c - 1)
 
 
 @dataclass(frozen=True)

@@ -211,7 +211,8 @@ def theta(x: float, table: PrimeTable) -> ThetaValue:
     if x > table.limit:
         raise ValueError(f"x={x} beyond prime table limit {table.limit}")
     lo, hi = _prime_log_sum(x, table)
-    return ThetaValue(Fraction(lo + hi, 1 << (PRECISION_BITS + 1)), (hi - lo) / 2**PRECISION_BITS, PRECISION_BITS)
+    return ThetaValue(Fraction(lo + hi, 1 << (PRECISION_BITS + 1)),
+                      (hi - lo) / 2**PRECISION_BITS, PRECISION_BITS)
 
 
 @dataclass(frozen=True)
@@ -303,7 +304,8 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
     u_lo = _log_fixed(x_lo)[1]
     for side in ("lower", "upper"):  # both bounds at x_lo itself
         check(x_lo, u_lo, acc, side)
-    for p, (l_p, u_p) in zip(islice(table.primes, below, upto), logs):  # (l_p, u_p) serves both checks at p and the jump
+    # (l_p, u_p) serves both checks at p and the jump
+    for p, (l_p, u_p) in zip(islice(table.primes, below, upto), logs):
         check(p, u_p, acc, "lower")  # left limit at p: x -> p from below
         acc = (acc[0] + l_p, acc[1] + u_p)
         check(p, u_p, acc, "upper")  # right after the jump at p

@@ -6,9 +6,11 @@ from itertools import combinations
 import pytest
 from mpmath import mp
 
+from esfscan import symfun
 from esfscan.rational import format_rational, is_integer, make_rational
 from esfscan.symfun import (
     _cap_start,
+    _least,
     compute_omit,
     esf_closed_form,
     esf_oracle,
@@ -121,6 +123,50 @@ class TestKCap:
             k_cap.cache_clear()
             _cap_start.cache_clear()
 
+    def test_cold_cap_at_1e20_costs_few_enclosures(self, monkeypatch):
+        # The float guess of the breakpoint drifts far from it at this n; a
+        # search that walks one n per enclosure needs about 5e5 of them.
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return subset_size_bound(n)
+
+        monkeypatch.setattr(symfun, "subset_size_bound", counted)
+        k_cap.cache_clear()
+        _cap_start.cache_clear()
+        try:
+            assert k_cap(10**20) == min(10**20 - 1, floor_b(10**20))
+            assert len(calls) <= 100
+        finally:
+            k_cap.cache_clear()
+            _cap_start.cache_clear()
+
+
+class TestLeast:
+    """The search behind k_cap and _cap_start, on a predicate with a known answer."""
+
+    @staticmethod
+    def search(answer, guess):
+        calls = []
+
+        def pred(m):
+            calls.append(m)
+            return m >= answer
+
+        return _least(pred, guess), len(calls)
+
+    @pytest.mark.parametrize("answer", [3, 4, 1000, 10**7 + 3, 10**30 + 7])
+    def test_right_guess_costs_two_calls(self, answer):
+        assert self.search(answer, answer) == (answer, 2)
+
+    @pytest.mark.parametrize("answer", [2, 3, 10**6 + 1, 10**7 + 3, 10**30 + 7])
+    @pytest.mark.parametrize("offset", [-(10**6), -1, 1, 10**6])
+    def test_far_guess_finds_the_answer_in_few_calls(self, answer, offset):
+        found, calls = self.search(answer, answer + offset)
+        assert found == answer
+        assert calls <= 44
+
 
 def floor_b(n):
     """The per-n cap before the n - 1 limit: one enclosure, its upper end's floor."""
@@ -144,7 +190,7 @@ class TestCapBreakpoints:
         # e*ln(n) + e >= c, located by mpmath at 256 bits.
         with mp.workprec(256):
             b = lambda m: mp.e * mp.log(m) + mp.e
-            for c in range(1, 61):
+            for c in range(1, 191):
                 n = max(2, int(mp.ceil(mp.exp(mp.mpf(c) / mp.e - 1))))
                 assert b(n) >= c and (n == 2 or b(n - 1) < c), c
                 assert _cap_start(c) == n, c
@@ -153,6 +199,13 @@ class TestCapBreakpoints:
         rng = random.Random(14)
         points = [rng.randrange(2, 10**9) for _ in range(300)]
         assert [m for m in points if k_cap(m) != min(m - 1, floor_b(m))] == []
+
+    def test_matches_per_n_enclosure_at_large_random_n(self):
+        # Up to 1e29 the float guesses of the cap and its breakpoints are
+        # off by many n; only the enclosure may decide.
+        rng = random.Random(23)
+        points = [rng.randrange(10**9, 10**29) for _ in range(300)]
+        assert [m for m in points if k_cap(m) != floor_b(m)] == []
 
 
 class TestRowRecursion:

@@ -15,15 +15,19 @@ neither side), and whether the change shows a gain: it won at least nine
 tenths of the pairs and its median beats the parent's by more than the
 distance between the parent's quartiles.  It prints WORSE instead when
 the change's median is worse than the parent's by more than the metric's
-``bound`` (a fraction of the parent's median), and it prints each side's
-``failed``/``attempted`` operations, summed over its runs.  Standard
-library only:
+``bound`` (a fraction of the parent's median), and ``unresolved`` when
+neither applies, the parent's quartiles lie further apart than the bound
+(``bound`` times the parent's median), and not every run of the change
+beats every run of the parent: the runs then spread too widely to show
+the metric unchanged.  It prints each side's ``failed``/``attempted``
+operations, summed over its runs.  Standard library only:
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload certify-full --seeds 1-10
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload certify-full --seeds 4242
 
 The exit code is 1 if any run failed or reported ``correct: false``, or
-if any end-to-end metric has no sample from some run.
+if any end-to-end metric has no sample from some run; a WORSE or
+``unresolved`` verdict leaves it 0.
 """
 
 from __future__ import annotations
@@ -128,6 +132,8 @@ def main(argv=None) -> int:
             verdict = f"WORSE (beyond the bound {bound:g} of the parent's median)"
         elif wins >= 0.9 * len(parent) and gap > iqr:
             verdict = "GAIN"
+        elif iqr > bound * abs(pm) and not all(sign * (c - p) > 0 for p in parent for c in change):
+            verdict = f"unresolved (parent IQR wider than the bound {bound:g} of its median)"
         else:
             verdict = "no gain shown"
         print(
