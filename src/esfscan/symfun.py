@@ -41,7 +41,6 @@ in :mod:`esfscan.theta`.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -62,11 +61,9 @@ def _least(pred: Callable[[int], bool], guess: int) -> int:
     no < answer <= yes, with pred(no) false (or no = 1) and pred(yes) true.
     It steps up from the guess by 1, 2, 4, ... while pred is false there,
     or, if pred holds at the guess, down by 1, 2, 4, ... while it still
-    holds; ``bisect`` then closes the bracket.  A right guess costs two
+    holds; halving then closes the bracket.  A right guess costs two
     calls of pred and a guess d away O(log d), so a wrong pred yields a
-    prompt wrong answer, not one call per step.  A bracket wider than
-    ``sys.maxsize``, which only a guess off by more than 2^62 leaves,
-    makes ``bisect`` raise ``OverflowError``.
+    prompt wrong answer, not one call per step.
     """
     no, yes, step = 1, max(2, guess), 1
     while not pred(yes):
@@ -74,7 +71,11 @@ def _least(pred: Callable[[int], bool], guess: int) -> int:
     while no == 1 and yes > 2:  # no is still 1 only if pred held at the guess
         m = max(2, yes - step)
         no, yes, step = (no, m, 2 * step) if pred(m) else (m, yes, step)
-    return bisect.bisect_left(range(no + 1, yes), True, key=pred) + no + 1
+    lo, hi = no + 1, yes
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid + 1, hi)
+    return lo
 
 
 @lru_cache(maxsize=None)

@@ -50,23 +50,32 @@ e_s(1/1, ..., 1/t) mod p for s <= k_max - min(k_max, m - 1):
 * a unit at k > m holds iff e_m(1/1, ..., 1/m) != 0 and its quotient
   E_i(k - m) of e(1/T) by (1 + x/i) is nonzero.
 
+The first factors never vanish: e_{m-1}(1/A_i) = a/m! and
+e_m(1/1, ..., 1/m) = 1/m! are units as m < p, so from k = m on only the
+tail decides.
+
 So every verdict of p at n is a pure function of (p, m, k_max) and t.
-:func:`settle_at` keeps what (p, m, k_max) fixes, e_j(1/1, ..., 1/m)
-and, per k, the multiples that fail, in a bounded cache, and computes
-only the e_s(1/T) per n, extended from the last t asked at the same
+:func:`settle_at` keeps what (p, m, k_max) fixes in a bounded cache:
+per k < m, the indices p leaves open there.  It computes only the
+e_s(1/T) per n, extended from the last t asked at the same
 (p, m, k_max): one residue per n in a rising scan.  Cached or not, the
 verdicts are the same.
 
-**Where the work goes.**  For k <= m and a unit i, J = k and the unit
-factor is e_0 = 1: the claim is e_k(1/1, ..., 1/m) != 0 mod p, the same
-for every unit i, so p settles all units at that k at once and only its m
-multiples need their own test.  :func:`witness_primes` therefore tries
-the primes in (sqrt(n), n/k_max] first, where m >= k_max holds for every
-k, from the largest (smallest m) down; then the primes in (n/k_max, n],
-from the smallest (largest m) up.  The primes come from a sieve, made on
-the first call for each bit length of n.  A unit column that no prime
-tried so far settles stays one symbolic :class:`AllUnits` set, not n
-indices.  Units at k > m need E_i per unit residue.
+**Where the work goes.**  An index set is an int, bit i for index i, so
+a verdict on a whole class of indices is one bitwise operation.  With
+period = the bits 0, p, ..., mp, the multiples of p are period ^ 1 and
+the units of residue r are the bits of period << r up to n.  For k < m
+the unit claim e_k(1/1, ..., 1/m) != 0 is the same for every unit, so
+the cached mask of that k settles all units at once, and the k costs
+one AND.  :func:`witness_primes` therefore tries the primes in
+(sqrt(n), n/k_max] first, where m >= k_max holds for every k, from the
+largest (smallest m) down; then the primes in (n/k_max, n], from the
+smallest (largest m) up.  The primes come from a sieve, made on the
+first call for each bit length of n.  Units at k > m need E_r per unit
+residue r: each call walks E_r once for each residue still open at some
+k > m, found by OR-ing the m + 1 blocks of p bits of the open units into
+one mask of residues, and each zero E_r(s) ORs the class period << r
+into the units that fail at k = m + s.
 
 The tests check every claim against the exact ``p_adic_valuation`` for
 every prime in (sqrt(n), n] and every (n, i, k) with n <= 120, and the
@@ -79,45 +88,19 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress
-from typing import Container, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .primes import PrimeTable, sieve
 
 # (i, k, p, J): the prime p shows v_p(omit(n, i, k)) = -J.
 Claim = Tuple[int, int, int, int]
-# k -> the omitted indices i still without a witness at that k.  Each
-# index set is iterable and supports ``in``: a range, a set or AllUnits.
-Open = Dict[int, Iterable[int]]
+# k -> the omitted indices i still without a witness at that k, as a
+# mask: bit i is set while i is open.
+Open = Dict[int, int]
 
 # (p, m, k_max) tables kept per process.  A rising scan reads only the
 # few (p, m) around its current n, so older tables are never read again.
 RUN_CACHE = 64
-
-
-class AllUnits:
-    """Every i in 1..n that no prime in ``primes`` divides, and ``extra``.
-
-    The open set of a k at which each prime tried so far settled no unit;
-    ``extra`` holds multiples of those primes that are still open.
-    """
-
-    __slots__ = ("n", "primes", "extra")
-
-    def __init__(self, n: int, primes: Tuple[int, ...] = (), extra: FrozenSet[int] = frozenset()):
-        self.n, self.primes, self.extra = n, primes, extra
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.extra or (0 < i <= self.n and all(i % q for q in self.primes))
-
-    def __iter__(self) -> Iterator[int]:
-        flags = bytearray([1]) * (self.n + 1)
-        flags[0] = 0
-        for q in self.primes:
-            flags[q :: q] = bytes(len(range(q, self.n + 1, q)))
-        for i in self.extra:
-            flags[i] = 1
-        return compress(range(self.n + 1), flags)
 
 
 def witness_primes(n: int, k_max: int) -> Iterator[int]:
@@ -141,66 +124,71 @@ def unsettled(n: int, k_max: int, claims: Optional[List[Claim]] = None) -> List[
     a witness.  If ``claims`` is a list, each witness found is appended to
     it, so a caller can check it against the exact valuation.
     """
-    everything = AllUnits(n)
-    todo: Open = {k: everything for k in range(1, k_max + 1)}
+    todo: Open = dict.fromkeys(range(1, k_max + 1), (1 << (n + 1)) - 2)
     for p in witness_primes(n, k_max):
         if not todo:
             break
         todo = settle_at(n, p, todo, claims)
-    return sorted((i, k) for k, left in todo.items() for i in left)
+    return sorted((i, k) for k, left in todo.items() for i in _bits(left))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask`` >= 0, in rising order."""
+    flags = bin(mask)[:1:-1]
+    i = flags.find("1")
+    while i >= 0:
+        yield i
+        i = flags.find("1", i + 1)
 
 
 def settle_at(n: int, p: int, todo: Open, claims: Optional[List[Claim]] = None) -> Open:
     """``todo`` less every (i, k) that the prime p witnesses.
 
-    Needs sqrt(n) < p <= n.  Each index set in ``todo`` must support
-    ``in`` and iteration; it is not changed.  A k with nothing left is
-    dropped.  The tables that do not read n come from the memo lemma's
-    cache, shared by every n with the same (p, floor(n/p), max(todo)).
+    Needs sqrt(n) < p <= n.  Each value of ``todo`` is a mask of the open
+    indices at its k, bit i for index i, with no bit outside 1..n; the
+    result has the same form, and a k with nothing left is dropped.  The
+    tables that do not read n come from the memo lemma's cache, shared by
+    every n with the same (p, floor(n/p), max(todo)).
     """
     if not (p * p > n and p <= n):
         raise ValueError(f"p={p} is not in (sqrt({n}), {n}]")
-    m = n // p
-    run = _run_table(p, m, max(todo))
-    e_mult = run.e_mult
+    m, k_max = n // p, max(todo)
+    run = _run_table(p, m, k_max)
+    period = run.period
     e_unit = run.tail_esf(n - m * p)  # e_t(1/units), valid for t <= p-2
-    multiples = range(p, m * p + 1, p)
-    rows: Dict[int, List[int]] = {}  # unit residue -> E_i, for the units at k > m
-
-    def unit_row(r: int) -> List[int]:
-        row = rows.get(r)
-        if row is None:
-            row = rows[r] = _omit_one(e_unit, pow(r, -1, p), p)
-        return row
-
+    multiples = period ^ 1
+    units = ((1 << (n + 1)) - 2) & ~multiples
+    # zeros[s]: the units i, of the residues walked, with E_i(s) = 0 mod p.
+    zeros = [0] * len(e_unit)
+    wide = 0  # the units open at some k > m
+    for k in range(m + 1, k_max + 1):
+        wide |= todo.get(k, 0) & units
+    if wide:
+        classes, low = 0, (1 << p) - 1  # bit r: some open unit has residue r
+        while wide:
+            classes |= wide & low
+            wide >>= p
+        for r in _bits(classes):  # E_r(s) = e_s(1/T) - r^-1 * E_r(s - 1), as in _omit_one
+            x, e_r = pow(r, -1, p), 1
+            for s in range(1, len(e_unit)):
+                e_r = (e_unit[s] - x * e_r) % p
+                if not e_r:
+                    zeros[s] |= period << r
     left: Open = {}
     for k, open_ in todo.items():
-        jm, ju = min(k, m - 1), min(k, m)  # J of a multiple and of a unit
-        if jm and k - jm <= p - 2 and e_unit[k - jm]:
-            failing: Container[int] = run.fails[jm]
-        else:
-            failing = multiples
-        rest = {i for i in failing if i in open_}
+        if k < m:  # J = k for every index, and no verdict reads n
+            rest = open_ & run.keep[k]
+        else:  # J = m - 1 for a multiple and m for a unit; only the tail decides
+            multiple_holds = m > 1 and k - m + 1 <= p - 2 and e_unit[k - m + 1]
+            rest = 0 if multiple_holds else open_ & multiples
+            if k - m > p - 2:
+                rest |= open_ & units
+            elif k > m:
+                rest |= open_ & zeros[k - m]
         if claims is not None:
-            claims.extend((i, k, p, jm) for i in multiples if i in open_ and i not in failing)
-        symbolic = isinstance(open_, AllUnits)
-        # bad: the unit residues p leaves open at this k.
-        if not (e_mult[ju] and k - ju <= p - 2):
-            if symbolic:  # p settles no unit at this k
-                left[k] = AllUnits(n, open_.primes + (p,), open_.extra | rest)
-                continue
-            bad: Container[int] = range(1, p)
-        elif k <= m:
-            bad = ()  # J = k and E_i(0) = 1: p settles every unit at once
-        else:
-            residues = range(1, p) if symbolic else {i % p for i in open_} - {0}
-            bad = {r for r in residues if not unit_row(r)[k - m]}
-        if claims is not None:
-            claims.extend((i, k, p, ju) for i in open_ if i % p and i % p not in bad)
-        if symbolic and bad:
-            rest.update(i for r in bad for i in range(r, n + 1, p) if i in open_)
-        elif bad:
-            rest.update(i for i in open_ if i % p in bad)
+            won, jm, ju = open_ & ~rest, min(k, m - 1), min(k, m)  # J of a multiple, a unit
+            claims.extend((i, k, p, jm) for i in _bits(won & multiples))
+            claims.extend((i, k, p, ju) for i in _bits(won & ~multiples))
         if rest:
             left[k] = rest
     return left
@@ -210,21 +198,25 @@ class _RunTable:
     """What :func:`settle_at` reads at p for every n with floor(n/p) = m
     and max(todo) = k_max: all but the tail's e_t, by the memo lemma."""
 
-    __slots__ = ("p", "e_mult", "fails", "_tail")
+    __slots__ = ("p", "period", "keep", "_tail")
 
     def __init__(self, p: int, m: int, k_max: int):
         inv = [pow(a, -1, p) for a in range(1, m + 1)]
         top = min(k_max, m - 1)
         self.p = p
-        self.e_mult = _esf([1] + [0] * min(k_max, m), inv, p)  # e_j(1/1, ..., 1/m)
-        # fails[k]: the multiples p*a whose e_k(1/A_i) is 0 mod p, k <= top.
-        fails: List[set] = [set() for _ in range(top + 1)]
+        self.period = 0  # bits 0, p, ..., mp
+        for a in range(m + 1):
+            self.period |= 1 << (p * a)
+        e_mult = _esf([1] + [0] * top, inv, p)  # e_j(1/1, ..., 1/m)
+        # keep[k], k <= top: the indices p leaves open at k; every unit
+        # (a negative mask) where e_k(1/1, ..., 1/m) is 0 mod p, and the
+        # multiples p*a whose e_k(1/A_i) is 0 mod p.
+        self.keep = [0 if e_mult[k] else ~self.period for k in range(top + 1)]
         for a, x in enumerate(inv, 1):
-            e_a = _omit_one(self.e_mult, x, p)
+            e_a = _omit_one(e_mult, x, p)
             for k in range(1, top + 1):
                 if not e_a[k]:
-                    fails[k].add(p * a)
-        self.fails = [frozenset(f) for f in fails]
+                    self.keep[k] |= 1 << (p * a)
         self._tail = (0, [1] + [0] * (k_max - top))  # (t, e_s(1/1, ..., 1/t) for s <= depth)
 
     def tail_esf(self, t: int) -> List[int]:

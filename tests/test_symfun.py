@@ -167,6 +167,12 @@ class TestLeast:
         assert found == answer
         assert calls <= 44
 
+    def test_bracket_past_the_machine_word(self):
+        # A guess off by about 2^70 leaves a bracket wider than sys.maxsize.
+        found, calls = self.search(2**70 + 5, 2)
+        assert found == 2**70 + 5
+        assert calls <= 150
+
 
 def floor_b(n):
     """The per-n cap before the n - 1 limit: one enclosure, its upper end's floor."""

@@ -9,15 +9,25 @@ from esfscan import witness
 from esfscan.rational import is_prime, p_adic_valuation
 from esfscan.scan import ScanConfig, ScanError, scan
 from esfscan.symfun import esf_rows, k_cap, omit_sweep
-from esfscan.witness import AllUnits, settle_at, unsettled, witness_primes
+from esfscan.witness import settle_at, unsettled, witness_primes
 
 
 def primes_above_root(n):
     return [p for p in range(math.isqrt(n) + 1, n + 1) if is_prime(p)]
 
 
+def indices(mask):
+    """The set bits of ``mask``, read off its binary digits."""
+    return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+
+
+def to_mask(open_):
+    return sum(1 << i for i in set(open_))
+
+
 def all_pairs(n):
-    return {k: range(1, n + 1) for k in range(1, k_cap(n) + 1)}
+    """Every (i, k) open, as the kernel's masks: bit i for index i."""
+    return dict.fromkeys(range(1, k_cap(n) + 1), (1 << (n + 1)) - 2)
 
 
 def lemma_by_definition(n, i, k, p):
@@ -40,7 +50,9 @@ def lemma_by_definition(n, i, k, p):
 
 
 def reference_settle_at(n, p, todo, claims=None):
-    """The kernel before memoisation: every table rebuilt for this n."""
+    """The kernel before memoisation and bitmasks, on sets of indices: every
+    table rebuilt for this n.  Takes and returns masks, as settle_at does."""
+    todo = {k: set(indices(mask)) for k, mask in todo.items()}
     m = n // p
     k_max = max(todo)
     tail = n - m * p
@@ -101,22 +113,13 @@ def reference_settle_at(n, p, todo, claims=None):
                 if claims is not None:
                     claims.append((i, k, p, row[k]))
         if rest:
-            left[k] = rest
+            left[k] = to_mask(rest)
     return left
-
-
-def as_pairs(todo):
-    return {(i, k) for k, open_ in todo.items() for i in open_}
 
 
 def same_claims(claims, want):
     """Equal as multisets; the reference claims each (i, k) once."""
     return len(claims) == len(want) and set(claims) == set(want)
-
-
-def fresh_todo(n):
-    everything = AllUnits(n)
-    return {k: everything for k in range(1, k_cap(n) + 1)}
 
 
 def test_every_claim_on_2_to_120_matches_exact_valuation():
@@ -148,7 +151,7 @@ def test_kernel_makes_exactly_the_claims_of_the_lemma():
                 for i in range(1, n + 1):
                     want = lemma_by_definition(n, i, k, p)
                     assert made.get((i, k), 0) == want, (n, i, k, p)
-                    assert (i in left.get(k, ())) == (not want), (n, i, k, p)
+                    assert bool(left.get(k, 0) >> i & 1) == (not want), (n, i, k, p)
 
 
 def test_unsettled_only_below_37():
@@ -160,31 +163,41 @@ def test_unsettled_only_below_37():
         assert all(not lemma_by_definition(n, i, k, p) for p in primes_above_root(n))
 
 
-def test_memo_leaves_what_the_reference_leaves():
-    # Rising n, as in a scan, so each (p, m, k_max) table is reused.
+def leaves_what_the_reference_leaves(window):
+    """The open masks at every prime ``unsettled`` tries, for rising n as
+    in a scan, so each (p, m, k_max) table is reused."""
     witness._run_table.cache_clear()
     calls = 0
-    for n in range(2, 2001):
-        todo = fresh_todo(n)
+    for n in window:
+        todo = all_pairs(n)
         for p in witness_primes(n, k_cap(n)):
             if not todo:
                 break
             left = settle_at(n, p, todo)
-            assert as_pairs(left) == as_pairs(reference_settle_at(n, p, todo)), (n, p)
+            assert left == reference_settle_at(n, p, todo), (n, p)
             todo, calls = left, calls + 1
     assert witness._run_table.cache_info().hits > calls // 2
 
 
+def test_memo_leaves_what_the_reference_leaves():
+    leaves_what_the_reference_leaves(range(2, 2001))
+
+
+def test_memo_leaves_what_the_reference_leaves_where_the_scan_ends():
+    # Masks of about 13.5k bits.
+    leaves_what_the_reference_leaves(range(13500, 13543))
+
+
 def test_memo_claims_what_the_reference_claims():
-    # Ranges, as the certify tests pass them, and up to n = 40 the
-    # symbolic sets ``unsettled`` starts from (the scan claims to n = 12).
+    # Every index open, as ``unsettled`` and the certify tests start (the
+    # scan claims to n = 12).
     for n in range(2, 201):
         for p in primes_above_root(n):
-            for todo in [all_pairs(n)] + [fresh_todo(n)] * (n <= 40):
-                claims, want = [], []
-                left = settle_at(n, p, todo, claims)
-                assert as_pairs(left) == as_pairs(reference_settle_at(n, p, todo, want))
-                assert same_claims(claims, want), (n, p)
+            todo = all_pairs(n)
+            claims, want = [], []
+            left = settle_at(n, p, todo, claims)
+            assert left == reference_settle_at(n, p, todo, want)
+            assert same_claims(claims, want), (n, p)
 
 
 @pytest.mark.parametrize("window, depth", [(range(1160, 1180), 0), (range(12961, 12967), 1)])
@@ -194,7 +207,7 @@ def test_memo_across_a_change_of_m(window, depth):
     the tail depth k_max - min(k_max, m - 1) is ``depth``."""
     crossings = set()
     for n in window:
-        todo = fresh_todo(n)
+        todo = all_pairs(n)
         for p in witness_primes(n, k_cap(n)):
             if not todo:
                 break
@@ -203,7 +216,7 @@ def test_memo_across_a_change_of_m(window, depth):
                 crossings.add(k_max - min(k_max, m - 1))
             claims, want = [], []
             left = settle_at(n, p, todo, claims)
-            assert as_pairs(left) == as_pairs(reference_settle_at(n, p, todo, want)), (n, p)
+            assert left == reference_settle_at(n, p, todo, want), (n, p)
             assert same_claims(claims, want), (n, p)
             todo = left
     assert depth in crossings
