@@ -44,7 +44,6 @@ def _build_parser() -> _Parser:
     p_scan = sub.add_parser("scan", help="exhaustive integrality scan over an n-range")
     p_scan.add_argument("--n-start", type=int, required=True)
     p_scan.add_argument("--n-end", type=int, required=True)
-    p_scan.add_argument("--jobs", type=int, default=1)
     p_scan.add_argument("--checkpoint", default=None, help="checkpoint file path")
     p_scan.add_argument("--out", default="scan_report.csv", help="hit report CSV path")
     p_scan.add_argument("--checkpoint-every", type=int, default=100)
@@ -80,7 +79,6 @@ def _cmd_scan(args) -> int:
     config = ScanConfig(
         n_start=args.n_start,
         n_end=args.n_end,
-        jobs=args.jobs,
         checkpoint_path=args.checkpoint,
         report_path=args.out,
         checkpoint_every=args.checkpoint_every,

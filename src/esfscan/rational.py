@@ -11,7 +11,7 @@ represented uniquely as 0/1.  The backing type is the standard library's
 operation and keeps the sign in the numerator, so the invariants above
 hold for free.  :func:`int_valuation` serves the integer side.
 
-Values are immutable and safe to share across worker processes.
+Values are immutable, so callers may share them freely.
 """
 
 from __future__ import annotations

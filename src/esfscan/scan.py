@@ -2,48 +2,39 @@
 
 The scan tests every omit-one value at 1 <= i <= n, 1 <= k <= k_cap(n)
 for integrality, one n at a time.  From one n to the next it carries the
-hits and, in each process, only the witness kernel's bounded cache of
-tables that are pure functions of (p, floor(n/p), k_max).  Its hot path
-is the p-adic witness kernel of :mod:`esfscan.witness`: a prime
-p > sqrt(n) that shows v_p(omit(n, i, k)) < 0 settles the triple in
-mod-p arithmetic, with no exact value.  Only the triples no witness
-settles (none above n = 27), and at n <= ORACLE_CROSSCHECK_MAX every
-triple, are evaluated exactly, through ``symfun.omit_sweep`` on a
-full-set row the worker builds for that n; a hit is reported only from
-an exact value, and every exact value passes an identity self-check.
-Up to ORACLE_CROSSCHECK_MAX every exact value is also compared with
-subset enumeration and every witness with the exact valuation.
+hits and only the witness kernel's bounded cache of tables that are pure
+functions of (p, floor(n/p), k_max).  Its hot path is the p-adic witness
+kernel of :mod:`esfscan.witness`: a prime p > sqrt(n) that shows
+v_p(omit(n, i, k)) < 0 settles the triple in mod-p arithmetic, with no
+exact value.  Only the triples no witness settles (none above n = 27),
+and at n <= ORACLE_CROSSCHECK_MAX every triple, are evaluated exactly,
+through ``symfun.omit_sweep`` on a full-set row built for that n; a hit
+is reported only from an exact value, and every exact value passes an
+identity self-check.  Up to ORACLE_CROSSCHECK_MAX every exact value is
+also compared with subset enumeration and every witness with the exact
+valuation.
 
-The scan is one loop over n, and one n, with all of its indices, is one
-task whose result does not depend on what the cache holds.  One worker,
-or a range of at most CHUNK_N n, runs in-process; otherwise a process
-pool that lives only as long as the scan sends each worker CHUNK_N
-consecutive n in one message, so a worker's n rise and it reuses the
-kernel's tables from one n to the next.  The closed-form triple count is
-taken before the first n, so forked workers inherit every cached
-k_cap(n).  Results come back in n order.  A check
-that fails in a worker raises its ``ScanError`` in the scan; when
-several n fail, the first of them in n order is reported.  After each n
-the loop rewrites the report if that n had hits and then, at a
-checkpoint n, saves the checkpoint: the last completed n and the hits so
-far.  The checkpoint, the report and its ``.summary.json`` are each
-written atomically by ``checkpoint.write_lines``, and
-``checkpoint.probe_outputs`` vets all three paths at once, before a
-checkpoint is read or an n is tested.  A resume is a fresh start at the
-next n.  The hit report is kept in (n, i, k) order, so its bytes are a
-pure function of the configured range, independent of worker count, of
-checkpoint cadence, and of interrupt/resume history.
+The scan is one loop over n in the calling process.  One n, with all of
+its indices, is one test whose result does not depend on what the cache
+holds.  A failed check raises its ``ScanError`` at the n where it fails,
+after every earlier n was completed.  After each n the loop rewrites the
+report if that n had hits and then, at a checkpoint n, saves the
+checkpoint: the last completed n and the hits so far.  The checkpoint,
+the report and its ``.summary.json`` are each written atomically by
+``checkpoint.write_lines``, and ``checkpoint.probe_outputs`` vets all
+three paths at once, before a checkpoint is read or an n is tested.  A
+resume is a fresh start at the next n.  The hit report is kept in
+(n, i, k) order, so its bytes are a pure function of the configured
+range, independent of checkpoint cadence and of interrupt/resume
+history.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .checkpoint import (
     CheckpointRecord,
@@ -66,9 +57,6 @@ KNOWN_HITS = ((2, 2, 1), (4, 4, 2))
 # Every triple with n at most this is re-checked against subset enumeration.
 ORACLE_CROSSCHECK_MAX = 12
 
-# Consecutive n a pool worker receives in one message.
-CHUNK_N = 32
-
 
 class ScanError(RuntimeError):
     """A scan could not run to completion or failed a self-check."""
@@ -78,6 +66,9 @@ class ScanError(RuntimeError):
 class ScanConfig:
     n_start: int
     n_end: int
+    # Changes nothing: the scan runs in one process.  Kept, and still
+    # validated, only because perfbench/workloads.py sets it and
+    # perfbench/run.py overrides it.
     jobs: int = 1
     checkpoint_path: Optional[str] = None
     report_path: str = "scan_report.csv"
@@ -138,16 +129,15 @@ def closed_form_triple_count(n_start: int, n_end: int) -> int:
     return sum(n * k_cap(n) for n in range(max(2, n_start), n_end + 1))
 
 
-def _test_n(n: int) -> Tuple[List[IntegerHit], int, int, float, int]:
+def _test_n(n: int) -> Tuple[List[IntegerHit], int, int, float]:
     """Test every i <= n at n, for every k <= k_cap(n).
 
     The witness kernel settles what it can mod p; the rest, and at
     n <= ORACLE_CROSSCHECK_MAX every triple, is evaluated exactly.
     Returns the integer hits in (i, k) order, the triples tested, those
-    evaluated exactly, the seconds spent and the id of the process that
-    ran it.  Its only state across calls is the witness kernel's bounded
-    cache of pure functions of (p, floor(n/p), k_max), so it returns the
-    same in-process or in a pool worker, in any order of n.
+    evaluated exactly and the seconds spent.  Its only state across calls
+    is the witness kernel's bounded cache of pure functions of
+    (p, floor(n/p), k_max), so it returns the same in any order of n.
     """
     started = time.perf_counter()
     mk = k_cap(n)
@@ -161,7 +151,7 @@ def _test_n(n: int) -> Tuple[List[IntegerHit], int, int, float, int]:
             exact.setdefault(i, []).append(k)
     hits = _evaluate(n, mk, exact, claims) if exact else []
     n_exact = sum(len(ks) for ks in exact.values())
-    return hits, mk * n, n_exact, time.perf_counter() - started, os.getpid()
+    return hits, mk * n, n_exact, time.perf_counter() - started
 
 
 def _evaluate(
@@ -238,8 +228,7 @@ def scan(config: ScanConfig) -> ScanReport:
 
     _write_report(config.report_path, hits)
 
-    # A resume is a fresh start after the checkpointed n.  The count comes
-    # first, so pool workers fork with every k_cap(n) already cached.
+    # A resume is a fresh start after the checkpointed n.
     test_from = max(config.n_start, base_n + 1)
     expected = closed_form_triple_count(test_from, stop_n)
     stats = _scan_range(config, test_from, stop_n, hits) if test_from <= stop_n else ()
@@ -270,46 +259,20 @@ def _scan_range(
 
     After each n the report is rewritten if that n had hits, and then the
     checkpoint is saved if n is a checkpoint n, so a checkpoint never
-    claims an n whose hits are not on disk.  Returns one WorkerStat per
-    process that tested at least one n, numbered in order of its first
-    result.  No more workers are started than there are pool messages of
-    CHUNK_N n, so a range that fits in one message runs in this process.
+    claims an n whose hits are not on disk.  Returns the one WorkerStat
+    of this process.
     """
-    counts: Dict[int, List[Tuple[int, int, float]]] = {}  # process id -> per-n counts
-    span = range(test_from, stop_n + 1)
-    with _fan_out(min(config.jobs, -(-len(span) // CHUNK_N))) as fan_out:
-        for n, (found, checked, exact, busy, pid) in zip(span, fan_out(_test_n, span)):
-            counts.setdefault(pid, []).append((checked, exact, busy))
-            if found:
-                hits += found
-                _write_report(config.report_path, hits)
-            if config.checkpoint_path and (n % config.checkpoint_every == 0 or n == stop_n):
-                record = CheckpointRecord(n_start=config.n_start, n=n, hits=tuple(hits))
-                save_checkpoint(config.checkpoint_path, record)
-    return tuple(WorkerStat(w, *map(sum, zip(*c))) for w, c in enumerate(counts.values()))
-
-
-@contextmanager
-def _fan_out(jobs: int) -> Iterator[Callable]:
-    """A map that yields the task results in task order: the builtin one
-    for a single worker, else that of a process pool which ends with the
-    scan.  The pool sends CHUNK_N consecutive tasks to a worker as one
-    message; chunks not yet started when the scan ends early are
-    cancelled."""
-    if jobs == 1:
-        yield map
-        return
-    # Imported here: a scan with one worker should not pay for the import.
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    with ProcessPoolExecutor(jobs) as pool:
-        try:
-            yield partial(pool.map, chunksize=CHUNK_N)
-        except BrokenProcessPool as exc:
-            raise ScanError(f"a scan worker exited without reporting: {exc}") from exc
-        finally:
-            pool.shutdown(cancel_futures=True)
+    counts = []  # (triples, evaluated exactly, seconds) per n
+    for n in range(test_from, stop_n + 1):
+        found, *tested = _test_n(n)
+        counts.append(tested)
+        if found:
+            hits += found
+            _write_report(config.report_path, hits)
+        if config.checkpoint_path and (n % config.checkpoint_every == 0 or n == stop_n):
+            record = CheckpointRecord(n_start=config.n_start, n=n, hits=tuple(hits))
+            save_checkpoint(config.checkpoint_path, record)
+    return (WorkerStat(0, *map(sum, zip(*counts))),)
 
 
 def _write_summary(report: ScanReport) -> None:

@@ -134,7 +134,7 @@ class EsfRow:
     esf(n, k) has prod(T) dividing n!.  ``value``, ``values`` and
     ``harmonic`` are the exact rational views of the same entries.  Rows
     are immutable; advancing allocates a fresh row, so a row may be
-    shared read-only across workers.
+    shared read-only.
     """
 
     n: int

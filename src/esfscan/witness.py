@@ -98,7 +98,7 @@ Claim = Tuple[int, int, int, int]
 # mask: bit i is set while i is open.
 Open = Dict[int, int]
 
-# (p, m, k_max) tables kept per process.  A rising scan reads only the
+# (p, m, k_max) tables kept at once.  A rising scan reads only the
 # few (p, m) around its current n, so older tables are never read again.
 RUN_CACHE = 64
 

@@ -1,14 +1,17 @@
-import concurrent.futures
 import importlib
 import json
-import multiprocessing
 import os
 import re
 import stat
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import esfscan
 from esfscan.checkpoint import (
     CheckpointError,
     CheckpointRecord,
@@ -222,19 +225,13 @@ class TestScan:
         assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the patched oracle reaches the workers only when they are forked",
-)
 class TestParallelFailure:
     def test_worker_check_failure_names_triple(self, tmp_path, monkeypatch):
         scan_module = importlib.import_module("esfscan.scan")
         monkeypatch.setattr(scan_module, "omit_oracle", lambda n, i, k: -1)
-        # Every n fails; the first index at the first n is reported.  The
-        # range spans two pool messages, so the scan forks its workers.
+        # Every n fails; the first index at the first n is reported.
         with pytest.raises(ScanError, match=r"enumeration at \(2,1,1\)"):
-            run_scan(tmp_path, "r", n_start=2, n_end=40, jobs=2)
-        assert multiprocessing.active_children() == []
+            run_scan(tmp_path, "r", n_start=2, n_end=40)
 
     def test_first_failing_n_is_reported(self, tmp_path, monkeypatch):
         scan_module = importlib.import_module("esfscan.scan")
@@ -246,43 +243,41 @@ class TestParallelFailure:
             return kernel(n, k_max, claims)
 
         monkeypatch.setattr(scan_module, "unsettled", fail_at)
-        # n = 40 and n = 70 fall in the second and third message of 32 n;
-        # whichever worker fails first, the scan reports n = 40.
         ckpt = tmp_path / "r.ckpt"
         with pytest.raises(ScanError, match="planted failure at n=40"):
-            run_scan(tmp_path, "r", n_start=2, n_end=100, jobs=2,
+            run_scan(tmp_path, "r", n_start=2, n_end=100,
                      checkpoint_path=str(ckpt), checkpoint_every=1)
-        assert multiprocessing.active_children() == []
-        # Every n of the first message was completed and checkpointed.
-        assert load_checkpoint(str(ckpt)).n == 33
-
-    def test_worker_exit_is_reported(self, tmp_path, monkeypatch):
-        scan_module = importlib.import_module("esfscan.scan")
-        monkeypatch.setattr(scan_module, "omit_oracle", lambda n, i, k: os._exit(3))
-        # Two pool messages: the exit happens in a worker, not in this process.
-        with pytest.raises(ScanError, match="exited without reporting"):
-            run_scan(tmp_path, "r", n_start=2, n_end=40, jobs=2)
-        assert multiprocessing.active_children() == []
+        # Every n before the failing one was completed and checkpointed.
+        assert load_checkpoint(str(ckpt)).n == 39
 
     def test_triple_count_mismatch_is_reported(self, tmp_path, monkeypatch):
         scan_module = importlib.import_module("esfscan.scan")
         monkeypatch.setattr(scan_module, "_test_n", _overcount_at_30)
         want = closed_form_triple_count(2, 40)
-        # In-process, and in a forked worker: [2, 40] is two pool messages.
-        for jobs in (1, 2):
-            with pytest.raises(ScanError, match=re.escape(
-                f"triple count mismatch: checked {want + 1}, closed form says {want}"
-            )):
-                run_scan(tmp_path, f"j{jobs}", n_start=2, n_end=40, jobs=jobs)
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ScanError, match=re.escape(
+            f"triple count mismatch: checked {want + 1}, closed form says {want}"
+        )):
+            run_scan(tmp_path, "r", n_start=2, n_end=40)
 
-    def test_one_message_starts_no_pool(self, tmp_path, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a range of one pool message started a process pool")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        report, _ = run_scan(tmp_path, "r", n_start=1190, n_end=1194, jobs=2)
-        assert [s.worker for s in report.worker_stats] == [0]
+    def test_scan_starts_no_pool(self, tmp_path):
+        # A fresh interpreter, so no other test's import of
+        # concurrent.futures can hide one made by the scan.
+        code = textwrap.dedent(
+            f"""
+            import sys
+            from esfscan.scan import ScanConfig, scan
+            report = scan(ScanConfig(n_start=2, n_end=100, jobs=2,
+                                     report_path={str(tmp_path / "r.csv")!r}))
+            assert "concurrent.futures" not in sys.modules
+            assert len(report.worker_stats) == 1, report.worker_stats
+            """
+        )
+        src = str(Path(esfscan.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
 
 
 KNOWN = (IntegerHit(2, 2, 1, "1/1"), IntegerHit(4, 4, 2, "1/1"))
@@ -491,12 +486,12 @@ class TestCli:
         assert code == 1
         code, _ = run_cli(["nonsense"])
         assert code == 1
+        code, _ = run_cli(["scan", "--n-start", "2", "--n-end", "50", "--jobs", "2"])
+        assert code == 1  # the scan runs in one process and has no --jobs
 
     def test_scan_roundtrip(self, run_cli, tmp_path):
         out = str(tmp_path / "cli.csv")
-        code, text = run_cli(
-            ["scan", "--n-start", "2", "--n-end", "50", "--jobs", "2", "--out", out]
-        )
+        code, text = run_cli(["scan", "--n-start", "2", "--n-end", "50", "--out", out])
         assert code == 0
         assert "2 integer hit(s)" in text
         assert (tmp_path / "cli.csv").read_bytes() == (
