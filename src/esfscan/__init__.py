@@ -31,7 +31,6 @@ from .symfun import (
 )
 from .primes import PrimeTable, sieve
 from .certify import (
-    Certificate,
     CertifyResult,
     ValuationCheck,
     certificate_threshold,
@@ -45,11 +44,9 @@ from .certify import (
 from .theta import (
     MarginReport,
     ThetaBoundsReport,
-    ThetaValue,
     case1_margin,
     check_theta_bounds,
     precision_bits,
-    theta,
 )
 from .checkpoint import (
     CheckpointError,

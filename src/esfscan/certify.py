@@ -82,48 +82,21 @@ def window_violation(n: int, k: int, p: int) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
-    """The witness (n, k, p) that the prime window certifies (n, k).
-
-    The threshold and floor(n/p) are derived, not stored; every
-    condition is checked on construction.
-    """
-
-    n: int
-    k: int
-    p: int
-
-    def __post_init__(self):
-        reason = window_violation(self.n, self.k, self.p)
-        if reason is not None:
-            raise ValueError(reason)
-
-    @property
-    def threshold(self) -> int:
-        return certificate_threshold(self.k)
-
-    @property
-    def multiples_in_range(self) -> int:
-        return self.n // self.p
-
-
-def find_certificate(n: int, k: int, table: PrimeTable) -> Optional[Certificate]:
-    """Largest qualifying prime for (n, k), or None.
+def find_certificate(n: int, k: int, table: PrimeTable) -> Optional[int]:
+    """The largest prime p that certifies (n, k), or None.
 
     Any qualifying prime would do; the largest makes the output
     deterministic.  The threshold does not depend on p, so if
     :func:`window_violation` refuses the largest prime <= n/(k+1), it
-    refuses every smaller one too.
+    refuses every smaller one too.  A certificate is the triple (n, k, p)
+    alone, so the prime is all there is to return.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if table.limit < n:
         raise ValueError(f"prime table limit {table.limit} < n={n}")
     p = table.largest_leq(n // (k + 1))
-    if p is None or window_violation(n, k, p) is not None:
-        return None
-    return Certificate(n, k, p)
+    return p if p is not None and window_violation(n, k, p) is None else None
 
 
 def _pairs(runs: Iterable[Tuple[int, int, int, int]]) -> List[Tuple[int, int]]:
@@ -252,9 +225,10 @@ class ValuationCheck:
 def check_valuations(pairs: Sequence[Tuple[int, int]], table: PrimeTable) -> List[ValuationCheck]:
     """Verify the valuation property for every omitted index i at each pair.
 
-    One rolling-row sweep up to max n serves all pairs.  Per pair, each
-    index takes one :func:`omit_scaled` up to k, k integer steps of one
-    subtraction and one exact division by i, and
+    One rolling-row sweep up to max n serves all pairs.  Per pair, p is
+    the prime :func:`find_certificate` returns, each index takes one
+    :func:`omit_scaled` up to k, k integer steps of one subtraction and
+    one exact division by i, and
     v_p(omit(n, i, k)) = v_p(C_k) - v_p(n!) is read off the integers: no
     fraction is built and no gcd taken.  The total cost is the sum over
     pairs of n*k such steps on integers of about log2(n!) bits.
@@ -269,18 +243,16 @@ def check_valuations(pairs: Sequence[Tuple[int, int]], table: PrimeTable) -> Lis
     for row in esf_rows(max(by_n), cap=cap):
         n = row.n
         for k in sorted(by_n.get(n, ())):
-            cert = find_certificate(n, k, table)
-            if cert is None:
+            p = find_certificate(n, k, table)
+            if p is None:
                 raise ValueError(f"no certificate exists for (n={n}, k={k})")
-            v_fact = int_valuation(row.scaled[0], cert.p)
+            v_fact = int_valuation(row.scaled[0], p)
             failures = tuple(
                 i
                 for i in range(1, n + 1)
-                if int_valuation(omit_scaled(row, i, k)[-1], cert.p) - v_fact != -k
+                if int_valuation(omit_scaled(row, i, k)[-1], p) - v_fact != -k
             )
-            results.append(
-                ValuationCheck(n=n, k=k, p=cert.p, indices_checked=n, failures=failures)
-            )
+            results.append(ValuationCheck(n=n, k=k, p=p, indices_checked=n, failures=failures))
     return results
 
 

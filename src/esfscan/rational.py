@@ -2,9 +2,9 @@
 
 The exact recursions of :mod:`esfscan.symfun` run in integers scaled by
 n!, with no rational arithmetic; a rational value is made only where one
-is read or written: the rows' value views and ``omit_sweep`` (for the
-scan's exact fallback, ``esfscan value`` and the tests), the checkpoint's
-hits and the enumeration oracles.  Every such value is canonical:
+is read or written: the rows' ``value`` view and ``omit_sweep`` (for
+``esfscan value`` and the tests), the scan's hits and the checkpoint's,
+and the enumeration oracles.  Every such value is canonical:
 gcd(|numerator|, denominator) == 1, denominator >= 1, and zero is
 represented uniquely as 0/1.  The backing type is the standard library's
 ``fractions.Fraction``, which canonicalizes eagerly after every

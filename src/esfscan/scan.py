@@ -8,8 +8,9 @@ kernel of :mod:`esfscan.witness`: a prime p > sqrt(n) that shows
 v_p(omit(n, i, k)) < 0 settles the triple in mod-p arithmetic, with no
 exact value.  Only the triples no witness settles (none above n = 27),
 and at n <= ORACLE_CROSSCHECK_MAX every triple, are evaluated exactly,
-through ``symfun.omit_sweep`` on a full-set row built for that n; a hit
-is reported only from an exact value, and every exact value passes an
+as the integers n! * omit(n, i, k) of ``symfun.omit_scaled`` on a
+full-set row built for that n; a hit (n! divides the integer) is
+reported only from an exact value, and every exact value passes an
 identity self-check.  Up to ORACLE_CROSSCHECK_MAX every exact value is
 also compared with subset enumeration and every witness with the exact
 valuation.
@@ -44,8 +45,8 @@ from .checkpoint import (
     save_checkpoint,
     write_lines,
 )
-from .rational import format_rational, is_integer, p_adic_valuation
-from .symfun import esf_rows, k_cap, omit_oracle, omit_sweep
+from .rational import format_rational, int_valuation, make_rational
+from .symfun import esf_rows, k_cap, omit_oracle, omit_scaled
 from .witness import Claim, unsettled
 
 REPORT_HEADER = "n,i,k,numerator,denominator"
@@ -157,32 +158,36 @@ def _test_n(n: int) -> Tuple[List[IntegerHit], int, int, float]:
 def _evaluate(
     n: int, mk: int, exact: Dict[int, Sequence[int]], claims: Optional[List[Claim]]
 ) -> List[IntegerHit]:
-    """The integer hits among the exact values of omit(n, i, k), k in exact[i].
+    """The integer hits among omit(n, i, k), k in exact[i], read off the integers.
 
-    The values come from one full-set row for n.  Each value at k >= 2 is
-    checked against esf(n, k) = omit(n, i, k) + omit(n, i, k-1)/i; when
-    ``claims`` is given (n <= ORACLE_CROSSCHECK_MAX), each value is also
-    compared with subset enumeration and each witness claim with the
-    exact valuation.
+    One full-set row for n gives n! = row.scaled[0] and, per index, the
+    integers C_k = n! * omit(n, i, k) of one :func:`omit_scaled`, with
+    C_0 = n!.  omit(n, i, k) is an integer iff n! divides C_k.  Each value
+    is checked against esf(n, k) = omit(n, i, k) + omit(n, i, k-1)/i times
+    n!, that is i * (row.scaled[k] - C_k) = C_{k-1}; when ``claims`` is
+    given (n <= ORACLE_CROSSCHECK_MAX), each value is also compared with
+    subset enumeration and each witness claim with the exact valuation
+    v_p(C_k) - v_p(n!).  A Fraction is built only for a hit's value.
     """
     for row in esf_rows(n, mk):
         pass
-    if is_integer(row.harmonic):
+    fact = row.scaled[0]
+    if row.scaled[1] % fact == 0:
         raise ScanError(f"self-check failed: harmonic value integral at n={n}")
-    full = row.values
-    values = {i: omit_sweep(row, i, ks[-1]) for i, ks in exact.items()}
+    scaled = {i: [fact, *omit_scaled(row, i, ks[-1])] for i, ks in exact.items()}
     hits: List[IntegerHit] = []
     for i, ks in exact.items():
+        c = scaled[i]
         for k in ks:
-            v = values[i][k - 1]
-            if is_integer(v):
-                hits.append(IntegerHit(n=n, i=i, k=k, value=format_rational(v)))
-            if k >= 2 and full[k - 1] != v + values[i][k - 2] / i:
+            if c[k] % fact == 0:
+                value = format_rational(make_rational(c[k], fact))
+                hits.append(IntegerHit(n=n, i=i, k=k, value=value))
+            if i * (row.scaled[k] - c[k]) != c[k - 1]:
                 raise ScanError(f"identity self-check failed at ({n},{i},{k})")
-            if claims is not None and v != omit_oracle(n, i, k):
+            if claims is not None and omit_oracle(n, i, k) * fact != c[k]:
                 raise ScanError(f"recursion disagrees with enumeration at ({n},{i},{k})")
     for i, k, p, j in claims or ():
-        if p_adic_valuation(values[i][k - 1], p) != -j:
+        if int_valuation(scaled[i][k], p) - int_valuation(fact, p) != -j:
             raise ScanError(
                 f"witness p={p} claims v_p = -{j} at ({n},{i},{k}),"
                 " which the exact value refutes"

@@ -26,10 +26,10 @@ It runs for every 1 <= i <= n, i = n included.  The shortcut
 omit(n, n, k) = esf(n-1, k) is not a code path; it is an identity the
 tests check the sweep against.  The k = 1 column recursion
 omit(n, i, 1) = omit(n-1, i, 1) + 1/n is kept as an independent check
-of the seed.  Fractions appear only at the edges: the row's ``value``,
-``values`` and ``harmonic`` views and :func:`omit_sweep` divide by n!
-for the scan's exact fallback, ``esfscan value`` and the tests, while
-``certify.check_valuations`` reads valuations off the integers.
+of the seed.  Fractions appear only at the edges: the row's ``value``
+view and :func:`omit_sweep` divide by n! for ``esfscan value`` and the
+tests, while the scan's exact fallback and ``certify.check_valuations``
+read integrality and valuations off the integers.
 
 Independent oracles (polynomial expansion for the full set, direct
 subset enumeration for omit-one) and the closed forms for n = k+1 and
@@ -131,8 +131,8 @@ class EsfRow:
 
     k runs over 0..min(n, cap), so scaled[0] = n!.  Every entry is an
     integer, the unsigned Stirling number [n+1, k+1]: each 1/prod(T) in
-    esf(n, k) has prod(T) dividing n!.  ``value``, ``values`` and
-    ``harmonic`` are the exact rational views of the same entries.  Rows
+    esf(n, k) has prod(T) dividing n!.  ``value`` (k) is the exact
+    rational view of one entry; the harmonic number is ``value`` (1).  Rows
     are immutable; advancing allocates a fresh row, so a row may be
     shared read-only.
     """
@@ -146,15 +146,6 @@ class EsfRow:
         if not 1 <= k < len(self.scaled):
             raise ValueError(f"k={k} outside stored row for n={self.n}")
         return make_rational(self.scaled[k], self.scaled[0])
-
-    @property
-    def values(self) -> Tuple[Rational, ...]:
-        """(esf(n, 1), ..., esf(n, min(n, cap)))."""
-        return tuple(make_rational(s, self.scaled[0]) for s in self.scaled[1:])
-
-    @property
-    def harmonic(self) -> Rational:
-        return self.value(1)
 
 
 def esf_row_start(cap: int) -> EsfRow:
@@ -216,7 +207,7 @@ def omit_first_column_advance(prev: OmitFirstColumn, prev_row: EsfRow) -> OmitFi
     n = prev.n + 1
     r_n = make_rational(1, n)
     vals = [v + r_n for v in prev.values]
-    vals.append(prev_row.harmonic)
+    vals.append(prev_row.value(1))
     return OmitFirstColumn(n=n, values=tuple(vals))
 
 

@@ -59,13 +59,6 @@ def precision_bits() -> int:
     return PRECISION_BITS
 
 
-@dataclass(frozen=True)
-class ThetaValue:
-    value: Fraction  # enclosure midpoint, exact
-    error_bound: float  # conservative absolute error (full enclosure width)
-    precision_bits: int
-
-
 class Enclosure(NamedTuple):
     """Exact ends a <= b of an enclosure."""
 
@@ -199,20 +192,6 @@ def _sum_logs(logs: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
         total_lo += l_p
         total_hi += u_p
     return total_lo, total_hi
-
-
-def _prime_log_sum(x: float, table: PrimeTable) -> Tuple[int, int]:
-    """Integers A_lo <= 2^F theta(x) <= A_hi: the sums of the ln p enclosures over primes p <= x."""
-    return _sum_logs(_prime_logs(table.primes[: table.index_gt(x)]))
-
-
-def theta(x: float, table: PrimeTable) -> ThetaValue:
-    """Sum of ln p over primes p <= x, with a rigorous error bound."""
-    if x > table.limit:
-        raise ValueError(f"x={x} beyond prime table limit {table.limit}")
-    lo, hi = _prime_log_sum(x, table)
-    return ThetaValue(Fraction(lo + hi, 1 << (PRECISION_BITS + 1)),
-                      (hi - lo) / 2**PRECISION_BITS, PRECISION_BITS)
 
 
 @dataclass(frozen=True)

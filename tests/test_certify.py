@@ -2,13 +2,11 @@ import bisect
 import dataclasses
 import hashlib
 import os
-import re
 
 import pytest
 
 import esfscan.certify as certify_module
 from esfscan.certify import (
-    Certificate,
     certificate_threshold,
     certify_range,
     check_valuations,
@@ -41,8 +39,10 @@ def pair_cells(result):
 
 
 def pair_certificates(result):
-    """A validated Certificate for every certified pair, expanded from the runs."""
-    return [Certificate(n, k, p) for n, k, p in pair_cells(result) if p]
+    """(n, k, p) for every certified pair, expanded from the runs; each passes the window."""
+    certs = [(n, k, p) for n, k, p in pair_cells(result) if p]
+    assert all(window_violation(n, k, p) is None for n, k, p in certs)
+    return certs
 
 
 class TestThreshold:
@@ -55,31 +55,24 @@ class TestThreshold:
 
 
 class TestCertificate:
+    # A certificate is the triple (n, k, p); window_violation is its one check.
     def test_valid(self):
-        cert = Certificate(100, 1, 47)
-        assert [f.name for f in dataclasses.fields(cert)] == ["n", "k", "p"]
-        assert not hasattr(cert, "__dict__")
-        assert cert.threshold == 11
-        assert cert.multiples_in_range == 2
+        assert window_violation(100, 1, 47) is None
+        assert certificate_threshold(1) == 11
 
     def test_k_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            Certificate(100, 0, 47)
-        with pytest.raises(ValueError):
-            Certificate(10, 10, 3)
+        assert window_violation(100, 0, 47) is not None
+        assert window_violation(10, 10, 3) is not None
 
     def test_prime_below_window_rejected(self):
-        with pytest.raises(ValueError):
-            Certificate(100, 1, 23)
+        assert window_violation(100, 1, 23) is not None
 
     def test_prime_above_window_rejected(self):
-        with pytest.raises(ValueError):
-            Certificate(100, 1, 53)
+        assert window_violation(100, 1, 53) is not None
 
     def test_prime_below_threshold_rejected(self):
         # 7 lies in the window (5, 10] for n=20, k=1 but misses the threshold.
-        with pytest.raises(ValueError):
-            Certificate(20, 1, 7)
+        assert window_violation(20, 1, 7) is not None
 
     def test_construction_raises_the_window_reason(self):
         assert window_violation(100, 1, 47) is None
@@ -90,14 +83,11 @@ class TestCertificate:
             (20, 1, 7, "p=7 does not exceed the threshold 11"),
         ):
             assert window_violation(n, k, p) == reason
-            with pytest.raises(ValueError, match=re.escape(reason)):
-                Certificate(n, k, p)
 
 
 class TestFindCertificate:
     def test_smallest_certified_n(self, table_5000):
-        cert = find_certificate(26, 1, table_5000)
-        assert cert is not None and cert.p == 13
+        assert find_certificate(26, 1, table_5000) == 13
         assert all(find_certificate(n, 1, table_5000) is None for n in range(2, 26))
 
     def test_absent_small_n(self, table_5000):
@@ -107,12 +97,10 @@ class TestFindCertificate:
     def test_exact_boundary_prime_included(self, table_50216):
         # 29 * 467 = 13543: the window top is hit exactly, and the
         # comparison must include it.
-        cert = find_certificate(13543, 28, table_50216)
-        assert cert is not None and cert.p == 467
+        assert find_certificate(13543, 28, table_50216) == 467
 
     def test_window_top_prime(self, table_50216):
-        cert = find_certificate(13543, 1, table_50216)
-        assert cert is not None and cert.p == 6763  # largest prime <= 6771
+        assert find_certificate(13543, 1, table_50216) == 6763  # largest prime <= 6771
 
     def test_table_too_small_rejected(self, table_5000):
         with pytest.raises(ValueError):
@@ -126,9 +114,7 @@ class TestFindCertificate:
         for n in range(2, 5001):
             for k in range(1, k_cap(n) + 1):
                 expected = brute_certificate_prime(n, k, table_5000)
-                cert = find_certificate(n, k, table_5000)
-                got = cert.p if cert else None
-                assert got == expected, (n, k)
+                assert find_certificate(n, k, table_5000) == expected, (n, k)
 
 
 # sha256 of the certificate file for [13543, 50216], the whole certify leg.
@@ -164,11 +150,11 @@ def per_pair_file(n_lo, n_hi, table):
     lines = []
     for n in range(n_lo, n_hi + 1):
         for k in range(1, k_cap(n) + 1):
-            cert = find_certificate(n, k, table)
+            p = find_certificate(n, k, table)
             lines.append(
                 f"GAP\t{n}\t{k}"
-                if cert is None
-                else f"{n}\t{k}\t{cert.p}\t{cert.threshold}\t{cert.multiples_in_range}"
+                if p is None
+                else f"{n}\t{k}\t{p}\t{certificate_threshold(k)}\t{n // p}"
             )
     return "".join(line + "\n" for line in lines).encode("utf-8")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -74,17 +75,35 @@ class TestScan:
         # Above n = 12 only the identity esf(n, k) = omit(n, i, k) +
         # omit(n, i, k-1)/i checks an exact value.  At n = 20 the triples
         # (20, 1, 8) and (20, 1, 10) have no witness; corrupt the second.
+        # omit_scaled gives n! * omit(n, i, k), so adding n! adds 1 to the value.
         scan_module = importlib.import_module("esfscan.scan")
-        sweep = scan_module.omit_sweep
+        kernel = scan_module.omit_scaled
 
         def corrupted(row, i, k_max):
-            values = sweep(row, i, k_max)
+            scaled = kernel(row, i, k_max)
             if (row.n, i) == (20, 1):
-                values[-1] += 1
-            return values
+                scaled[-1] += row.scaled[0]
+            return scaled
 
-        monkeypatch.setattr(scan_module, "omit_sweep", corrupted)
+        monkeypatch.setattr(scan_module, "omit_scaled", corrupted)
         with pytest.raises(ScanError, match=r"identity self-check failed at \(20,1,10\)"):
+            run_scan(tmp_path, "r", n_start=13, n_end=27)
+
+    def test_harmonic_self_check(self, tmp_path, monkeypatch):
+        # A row whose harmonic entry n! * H_n is a multiple of n! must stop
+        # the scan: H_n is an integer at no n >= 2.
+        scan_module = importlib.import_module("esfscan.scan")
+        rows = scan_module.esf_rows
+
+        def integral_harmonic(n, cap):
+            for row in rows(n, cap):
+                if row.n == 20:
+                    fact = row.scaled[0]
+                    row = dataclasses.replace(row, scaled=(fact, fact, *row.scaled[2:]))
+                yield row
+
+        monkeypatch.setattr(scan_module, "esf_rows", integral_harmonic)
+        with pytest.raises(ScanError, match=r"harmonic value integral at n=20"):
             run_scan(tmp_path, "r", n_start=13, n_end=27)
 
     def test_deterministic_across_jobs_and_cadence(self, tmp_path):

@@ -214,14 +214,19 @@ class TestCapBreakpoints:
         assert [m for m in points if k_cap(m) != floor_b(m)] == []
 
 
+def row_values(row):
+    """[esf(n, 1), ..., esf(n, len(row.scaled) - 1)], each through ``row.value``."""
+    return [row.value(k) for k in range(1, len(row.scaled))]
+
+
 class TestRowRecursion:
     def test_first_rows(self):
         row1 = esf_row_start(cap=10)
-        assert [format_rational(v) for v in row1.values] == ["1/1"]
+        assert [format_rational(v) for v in row_values(row1)] == ["1/1"]
         row2 = esf_row_advance(row1)
-        assert [format_rational(v) for v in row2.values] == ["3/2", "1/2"]
+        assert [format_rational(v) for v in row_values(row2)] == ["3/2", "1/2"]
         row3 = esf_row_advance(row2)
-        assert [format_rational(v) for v in row3.values] == ["11/6", "1/1", "1/6"]
+        assert [format_rational(v) for v in row_values(row3)] == ["11/6", "1/1", "1/6"]
 
     def test_row4_third_entry(self):
         *_, row4 = esf_rows(4, cap=3)
@@ -241,12 +246,12 @@ class TestRowRecursion:
 
     def test_values_positive(self):
         for row in esf_rows(40, cap=k_cap(40)):
-            assert all(v > 0 for v in row.values)
+            assert all(v > 0 for v in row_values(row))
 
     def test_harmonic_not_integer(self):
         for row in esf_rows(300, cap=1):
             if row.n >= 2:
-                assert not is_integer(row.harmonic)
+                assert not is_integer(row.value(1))
 
 
 class TestScaledKernel:
@@ -276,7 +281,7 @@ class TestOmitRecursion:
         # The scan seeds k = 1 from H_n - 1/i instead of carrying this column.
         for row, col, _prev in rows_and_columns(200, cap=1):
             for i in range(1, row.n + 1):
-                assert col.value(i) == row.harmonic - make_rational(1, i), (row.n, i)
+                assert col.value(i) == row.value(1) - make_rational(1, i), (row.n, i)
 
     def test_golden_values(self, golden_omit):
         for (n, i, k), expected in golden_omit.items():
@@ -390,7 +395,7 @@ class TestIdentities:
                 acc = row.value(k) - acc / n
                 assert acc == prev.value(k), (n, k)
             # The kernel satisfies the shortcut omit(n, n, k) = esf(n-1, k).
-            assert omit_sweep(row, n, mk) == list(prev.values[:mk]), n
+            assert omit_sweep(row, n, mk) == row_values(prev)[:mk], n
 
     def test_bound_above_cutoff(self):
         # Above k_cap the full-set values drop below 1 (the proof is in the

@@ -21,11 +21,9 @@ from esfscan.theta import (
     check_theta_bounds,
     precision_bits,
     subset_size_bound,
-    theta,
     _log_fixed,
 )
 
-# The package re-exports the function theta(), which shadows the module name.
 theta_module = importlib.import_module("esfscan.theta")
 REFERENCE_BITS = 256
 
@@ -88,39 +86,42 @@ def _interval_reference(x_lo, x_hi, table):
     return len(points), len(in_range), tuple(failures), slack
 
 
+def theta_enclosure(x, table):
+    """Fractions lo <= theta(x) <= hi: the integer sums of the prime-log
+    enclosures over the primes p <= x, as ``check_theta_bounds`` streams them."""
+    lo, hi = theta_module._sum_logs(theta_module._prime_logs(table.primes[: table.index_gt(x)]))
+    return Fraction(lo, 2**PRECISION_BITS), Fraction(hi, 2**PRECISION_BITS)
+
+
 class TestTheta:
     def test_below_first_prime(self, table_5000):
-        result = theta(1.5, table_5000)
-        assert result.value == 0 and result.error_bound == 0
+        assert theta_enclosure(1.5, table_5000) == (0, 0)
 
     def test_four_term_sum(self, table_5000):
-        result = theta(10, table_5000)
+        lo, hi = theta_enclosure(10, table_5000)
         with mp.workdps(40):
             expected = mp.log(2 * 3 * 5 * 7)
-            assert abs(_mpf(result.value) - expected) <= result.error_bound + mp.mpf(10) ** -25
-        assert result.error_bound < 1e-25
+            tol = mp.mpf(10) ** -25
+            assert _mpf(lo) - tol <= expected <= _mpf(hi) + tol
+        assert hi - lo < 1e-25
 
     def test_jump_at_prime(self, table_5000):
-        below = theta(28.9, table_5000)
-        at = theta(29, table_5000)
+        below = theta_enclosure(28.9, table_5000)
+        at = theta_enclosure(29, table_5000)
         with mp.workdps(40):
-            gap = _mpf(at.value) - _mpf(below.value)
-            assert abs(gap - mp.log(29)) <= at.error_bound + below.error_bound + mp.mpf(10) ** -20
+            tol = mp.mpf(10) ** -20
+            assert _mpf(at[0] - below[1]) - tol <= mp.log(29) <= _mpf(at[1] - below[0]) + tol
 
     def test_value_within_claimed_interval_at_domain_edge(self, table_5000):
         x = 1429
-        result = theta(x, table_5000)
+        enclosure = theta_enclosure(x, table_5000)
         lo = x - 0.334 * x / math.log(x)
         hi = x + 0.021 * x / math.log(x)
-        assert lo < float(result.value) < hi
+        assert lo < float(enclosure[0]) <= float(enclosure[1]) < hi
 
     def test_nondecreasing(self, table_5000):
-        values = [theta(x, table_5000).value for x in (10, 100, 1000, 2500, 4999)]
-        assert all(a <= b for a, b in zip(values, values[1:]))
-
-    def test_beyond_table_rejected(self, table_5000):
-        with pytest.raises(ValueError):
-            theta(5001, table_5000)
+        ends = [theta_enclosure(x, table_5000) for x in (10, 100, 1000, 2500, 4999)]
+        assert all(a[1] <= b[0] for a, b in zip(ends, ends[1:]))
 
 
 class TestThetaBounds:
@@ -237,14 +238,6 @@ class TestIntegerChecks:
         assert (sides.count("lower"), sides.count("upper")) == (1, 444)
         assert report.failures[0] == (1429.0, "upper")
         assert report.failures == _interval_reference(1429, 5000, table_5000)[2]
-
-    def test_theta_value_is_the_exact_midpoint(self, table_5000):
-        # The integer sums give theta's midpoint and width with no rounding.
-        result = theta(1429, table_5000)
-        lo, hi = theta_module._prime_log_sum(1429, table_5000)
-        with _reference_precision():
-            assert result.value * 2 ** (PRECISION_BITS + 1) == lo + hi
-        assert result.error_bound == (hi - lo) / 2**PRECISION_BITS
 
 
 class TestMargin:
@@ -383,10 +376,10 @@ class TestArtanhChain:
             import io, sys
             from contextlib import redirect_stdout
             import esfscan, esfscan.cli
-            from esfscan import case1_margin, check_theta_bounds, k_cap, sieve, theta
+            from esfscan import case1_margin, check_theta_bounds, k_cap, sieve
             table = sieve(5000)
             assert k_cap(10**6) == 40 and case1_margin(50217).passed
-            assert check_theta_bounds(1429, 5000, table).passed and theta(5000, table).value > 0
+            assert check_theta_bounds(1429, 5000, table).passed
             with redirect_stdout(io.StringIO()):
                 assert esfscan.cli.main(["margin", "50217"]) == 0
                 assert esfscan.cli.main(["theta", "--x-lo", "1429", "--x-hi", "3000"]) == 0
