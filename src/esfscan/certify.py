@@ -39,10 +39,11 @@ takes one verdict, which holds for every pair in it.
 A :class:`CertifyResult` stores only the runs (n_first, n_last, k, p),
 with p = 0 for a refused run.  The gap pairs and the pair count are
 derived from them.  The certificate file is written by one walk over
-the run starts: each run's line tail after n is rendered once, every
-block of n between two run starts shares one row and, when no column in
-it is refused, is one item of LF-joined lines, and the items are joined
-into batches of at most 64 KiB on their way to disk.
+the run starts: each run's line tail after n is rendered once, and every
+block of n between two run starts shares one row.  Consecutive blocks
+with no refused column are rendered in batches of whole n, about
+``BATCH_CHARS`` characters each, by one C-level join per batch; a block
+with a refused column is rendered line by line, after the pending batch.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .checkpoint import write_lines
+from .checkpoint import BATCH_CHARS, write_lines
 from .primes import PrimeTable
 # make_rational is unused here, but the benchmark's tracer rebinds it by this name.
 from .rational import int_valuation, make_rational
@@ -161,6 +162,12 @@ def certify_range(n_lo: int, n_hi: int, table: PrimeTable) -> CertifyResult:
     return CertifyResult(n_lo=n_lo, n_hi=n_hi, runs=tuple(runs))
 
 
+def _render(rows: List[List[Optional[str]]], stop: int) -> str:
+    """The lines of the n in [stop - len(rows), stop), rows[i] the row of
+    the i-th, as one item: one C-level sweep, the last LF dropped."""
+    return "".join(map(str.join, map(str, range(stop - len(rows), stop)), rows))[:-1]
+
+
 def certificate_lines(result: CertifyResult) -> Iterable[str]:
     """Render the certificate list format: one tab-separated line per
     certificate (n, k, p, threshold, floor(n/p)); gap lines prefixed GAP.
@@ -168,11 +175,17 @@ def certificate_lines(result: CertifyResult) -> Iterable[str]:
     One walk over the run starts fills the row: a run sets column k at
     its first n, and the column keeps it until the next run of k starts.
     Everything after n is constant on a certified run, so each run's tail
-    is rendered once.  Between two consecutive run starts no column
-    changes, so that block of n shares one row; when none of its columns
-    is refused, the block is one item of LF-joined lines, and each n in
-    it costs one f-string head and one join.  A block with a refused
-    column yields one item per line.
+    is rendered once, from column k's constant pieces.  Between two
+    consecutive run starts no column changes, so that block of n shares
+    one row.  A block with no refused column adds one reference to its
+    row per n to a pending batch; once the batch holds about
+    ``BATCH_CHARS`` characters (its n count times the length of its
+    first n's lines; a row changes by about one column per block) it is
+    rendered by one C-level sweep, a str(n).join of each n's row, and
+    yielded as one item of LF-joined lines.  A block with a refused
+    column first yields the pending batch, whose n all lie below the
+    block's, so the lines stay in (n, k) order; it then yields one item
+    per line, GAP lines included.
 
     The row width at n is the largest column started by n, read from the
     runs, not from k_cap(n).  Column k's first run starts at
@@ -183,25 +196,40 @@ def certificate_lines(result: CertifyResult) -> Iterable[str]:
     1..k_cap(n).
     """
     runs = result.runs
-    # tails[k] is column k's line tail, None while refused; tails[0] = ""
-    # puts a head before the first tail of each n's join.
-    tails: List[Optional[str]] = [""] * (k_cap(result.n_hi) + 1)
+    columns = range(k_cap(result.n_hi) + 1)
+    heads = [f"\t{k}\t" for k in columns]
+    mids = [f"\t{certificate_threshold(k)}\t" for k in columns]
+    # tails[k] is column k's line after n, LF included, None while refused;
+    # tails[0] = "" makes str(n).join(row) put n before every tail.
+    tails: List[Optional[str]] = [""] * len(columns)
     ends = [run[0] for run in runs[1:]] + [result.n_hi + 1]
     refused = width = 0
+    rows: List[List[Optional[str]]] = []  # the pending batch: one row per n
     for (n, _, k, p), end in zip(runs, ends):
-        refused += (not p) - (tails[k] is None)
-        tails[k] = f"{k}\t{p}\t{certificate_threshold(k)}\t{n // p}" if p else None
-        width = max(width, k)
+        tail = f"{heads[k]}{p}{mids[k]}{n // p}\n" if p else None
+        refused += (tail is None) - (tails[k] is None)
+        tails[k] = tail
+        if k > width:
+            width = k
         if end == n:  # another run starts at n
             continue
         row = tails[: width + 1]
-        if not refused:
-            # Each n gives "\n{n}\t" before each tail; the block's first LF goes.
-            yield "".join([f"\n{m}\t".join(row) for m in range(n, end)])[1:]
+        if refused:
+            if rows:  # first, so the batch's n precede this block's
+                yield _render(rows, n)
+                rows = []
+            for m in range(n, end):
+                for k, t in enumerate(row[1:], 1):
+                    yield f"GAP\t{m}\t{k}" if t is None else f"{m}{t[:-1]}"
             continue
-        for m in range(n, end):
-            for k, t in enumerate(row[1:], 1):
-                yield f"GAP\t{m}\t{k}" if t is None else f"{m}\t{t}"
+        if not rows:  # the batch's first n sizes every n in it
+            n_chars = len(str(n).join(row))
+        rows += [row] * (end - n)
+        if len(rows) * n_chars >= BATCH_CHARS:
+            yield _render(rows, end)
+            rows = []
+    if rows:
+        yield _render(rows, result.n_hi + 1)
 
 
 def write_certificates(path: str, result: CertifyResult) -> None:

@@ -71,16 +71,31 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
     (``BATCH_CHARS`` characters, LFs included; an item longer than that
     is a batch of its own), never into the whole file, and each batch is
     encoded to UTF-8 and written in binary mode.
+
+    After each MiB written, the range written since the last hint gets
+    ``posix_fadvise(..., POSIX_FADV_DONTNEED)`` where ``os`` has it.  On
+    Linux that starts writeback of those pages and returns, so the disk
+    works while later batches render and the final fsync waits only on
+    the tail; it also drops the pages from the cache, so a later reader
+    reads the file from disk.  Outputs under 1 MiB make no such call.
+    The hint changes no byte and no durability: the fsync still comes
+    after the last write and before the rename.
     """
     tmp = path + TMP_SUFFIX
     try:
         with open(tmp, "wb") as fh:
             batch: List[str] = []
-            size = 0
+            size = hinted = 0  # the bytes before `hinted` have had their hint
             for line in lines:
                 if size + len(line) >= BATCH_CHARS and batch:
                     fh.write("\n".join(batch + [""]).encode("utf-8"))
                     batch, size = [], 0
+                    written = fh.tell()
+                    if written - hinted >= 1 << 20 and hasattr(os, "posix_fadvise"):
+                        fh.flush()  # the hinted range must be in the file, not in fh's buffer
+                        os.posix_fadvise(fh.fileno(), hinted, written - hinted,
+                                         os.POSIX_FADV_DONTNEED)
+                        hinted = written
                 batch.append(line)
                 size += len(line) + 1
             fh.write("\n".join(batch + [""]).encode("utf-8"))

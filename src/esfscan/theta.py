@@ -257,46 +257,49 @@ def check_theta_bounds(x_lo: float, x_hi: float, table: PrimeTable) -> ThetaBoun
         )
     F = PRECISION_BITS
     failures: List[Tuple[float, str]] = []
-    # The least slack per side as an exact pair (num, den); (1, 0) is +inf.
-    min_slack = {"lower": (1, 0), "upper": (1, 0)}
+    LOWER, UPPER = 0, 1
+    # Per side, (cd, cn 2^F) and the least slack as an exact [num, den]; [1, 0] is +inf.
+    coeffs = [(cd, cn << F) for cn, cd in (_LOWER_COEFF, _UPPER_COEFF)]
+    least = [[1, 0], [1, 0]]
 
     def check(x, u_x, acc, side):
         # The lower curve must lie below the enclosure `acc` = (A_lo, A_hi)
         # of 2^F theta on the plateau whose closure contains x, the upper
         # curve above it.  `u_x` >= 2^F ln x.
         a, d = x.as_integer_ratio()
-        cn, cd = _LOWER_COEFF if side == "lower" else _UPPER_COEFF
-        if side == "lower":
-            num = cd * acc[0] * u_x * d - (a << F) * (cd * u_x - (cn << F))
+        cd, cn_f = coeffs[side]
+        cdu = cd * u_x
+        if side == UPPER:
+            num = (a << F) * (cdu + cn_f) - cdu * acc[1] * d
         else:
-            num = (a << F) * (cd * u_x + (cn << F)) - cd * acc[1] * u_x * d
-        den = cd * u_x * d << F
-        least_num, least_den = min_slack[side]
-        if num * least_den < least_num * den:
-            min_slack[side] = (num, den)
+            num = cdu * acc[0] * d - (a << F) * (cdu - cn_f)
+        den = cdu * d << F
+        slack = least[side]
+        if num * slack[1] < slack[0] * den:
+            slack[:] = num, den
         if not num > 0:
-            failures.append((float(x), side))
+            failures.append((float(x), ("lower", "upper")[side]))
 
     below, upto = table.index_gt(x_lo), table.index_gt(x_hi)
     logs = _prime_logs(islice(table.primes, upto))  # one pass of the chain
     acc = _sum_logs(islice(logs, below))
     u_lo = _log_fixed(x_lo)[1]
-    for side in ("lower", "upper"):  # both bounds at x_lo itself
+    for side in (LOWER, UPPER):  # both bounds at x_lo itself
         check(x_lo, u_lo, acc, side)
     # (l_p, u_p) serves both checks at p and the jump
     for p, (l_p, u_p) in zip(islice(table.primes, below, upto), logs):
-        check(p, u_p, acc, "lower")  # left limit at p: x -> p from below
+        check(p, u_p, acc, LOWER)  # left limit at p: x -> p from below
         acc = (acc[0] + l_p, acc[1] + u_p)
-        check(p, u_p, acc, "upper")  # right after the jump at p
-    check(x_hi, _log_fixed(x_hi)[1], acc, "lower")
+        check(p, u_p, acc, UPPER)  # right after the jump at p
+    check(x_hi, _log_fixed(x_hi)[1], acc, LOWER)
     return ThetaBoundsReport(
         x_lo=float(x_lo),
         x_hi=float(x_hi),
         precision_bits=PRECISION_BITS,
         primes_checked=upto - below,
         checks=2 * (upto - below) + 3,
-        min_lower_slack=min_slack["lower"][0] / min_slack["lower"][1],
-        min_upper_slack=min_slack["upper"][0] / min_slack["upper"][1],
+        min_lower_slack=least[LOWER][0] / least[LOWER][1],
+        min_upper_slack=least[UPPER][0] / least[UPPER][1],
         max_enclosure_width=(acc[1] - acc[0]) / 2**F,
         failures=tuple(failures),
     )

@@ -160,12 +160,35 @@ def per_pair_file(n_lo, n_hi, table):
 
 
 # [2, 400] is gapped and k_cap steps 18 times in it; [15000, 16500]
-# crosses the step k_cap(15811) = 28 -> k_cap(15812) = 29.
-@pytest.mark.parametrize("n_lo, n_hi", [(2, 400), (25, 26), (15000, 16500)])
+# crosses the step k_cap(15811) = 28 -> k_cap(15812) = 29; [9500, 10500]
+# has 2,356 gap pairs among 27,027, so batches of gap-free blocks are cut
+# off by refused ones, and it crosses n = 9999 -> 10000, where str(n) widens.
+@pytest.mark.parametrize("n_lo, n_hi", [(2, 400), (25, 26), (15000, 16500), (9500, 10500)])
 def test_file_matches_a_per_pair_rendering(table_50216, tmp_path, n_lo, n_hi):
     path = tmp_path / "certs.tsv"
     write_certificates(str(path), certify_range(n_lo, n_hi, table_50216))
     assert path.read_bytes() == per_pair_file(n_lo, n_hi, table_50216)
+
+
+def test_refused_blocks_between_batches(table_50216, tmp_path):
+    """Every n <= 13542 has a gap and no n in [13543, 50216] has one, so
+    no real range has a batch of gap-free n pending when a refused block
+    starts.  Here every 10th certified run of [13000, 16000] shorter than
+    20 n is refused, so refused blocks cut batches short (23 times) among
+    batches that fill up; the file must equal one rendered pair by pair
+    from the runs."""
+    real = certify_range(13000, 16000, table_50216)
+    short = [i for i, (first, last, _, p) in enumerate(real.runs) if p and last - first < 20]
+    refused = set(short[::10])
+    runs = tuple(run[:3] + (0,) if i in refused else run for i, run in enumerate(real.runs))
+    result = dataclasses.replace(real, runs=runs)
+    path = tmp_path / "certs.tsv"
+    write_certificates(str(path), result)
+    lines = [
+        f"{n}\t{k}\t{p}\t{certificate_threshold(k)}\t{n // p}" if p else f"GAP\t{n}\t{k}"
+        for n, k, p in pair_cells(result)
+    ]
+    assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
 
 
 def test_every_certificate_settles_in_the_witness_kernel(full_range):

@@ -3,7 +3,15 @@ import os
 import pytest
 
 import esfscan.checkpoint as checkpoint_module
-from esfscan.checkpoint import BATCH_CHARS, TMP_SUFFIX, write_lines
+from esfscan.checkpoint import (
+    BATCH_CHARS,
+    TMP_SUFFIX,
+    CheckpointRecord,
+    IntegerHit,
+    load_checkpoint,
+    save_checkpoint,
+    write_lines,
+)
 
 
 def expected_bytes(items):
@@ -82,4 +90,77 @@ def test_failure_after_a_flush_leaves_the_old_file(tmp_path):
         write_lines(str(path), items())
     assert flushed and flushed[0] >= 2 * BATCH_CHARS
     assert path.read_bytes() == b"old contents\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+# About 2.5 MiB: 41,000 items of 63 characters plus LF.
+LARGE = [f"{i:07d}" + "w" * 56 for i in range(41000)]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Record write_lines' posix_fadvise, fsync and replace calls, in
+    order, with the size of the file on disk at each, and make them."""
+    events = []
+    real_fadvise = getattr(os, "posix_fadvise", None)
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fadvise(fd, start, length, advice):
+        events.append(("hint", start, length, advice, os.fstat(fd).st_size))
+        if real_fadvise is not None:
+            real_fadvise(fd, start, length, advice)
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", src, dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(checkpoint_module.os, "posix_fadvise", fadvise, raising=False)
+    monkeypatch.setattr(checkpoint_module.os, "fsync", fsync)
+    monkeypatch.setattr(checkpoint_module.os, "replace", replace)
+    return events
+
+
+def test_a_large_write_hints_ranges_already_on_disk(tmp_path, calls):
+    path = str(tmp_path / "out.txt")
+    write_lines(path, LARGE)
+    data = expected_bytes(LARGE)
+    with open(path, "rb") as fh:
+        assert fh.read() == data
+    hints = [event for event in calls if event[0] == "hint"]
+    assert len(hints) >= 2
+    start = 0
+    for _, begin, length, advice, on_disk in hints:
+        # Consecutive ranges of at least 1 MiB, each written before its hint.
+        assert begin == start and length >= 1 << 20 and begin + length <= on_disk
+        assert advice == os.POSIX_FADV_DONTNEED
+        start += length
+    assert start < len(data)
+
+
+def test_fsync_follows_the_last_write_and_precedes_the_rename(tmp_path, calls):
+    path = str(tmp_path / "out.txt")
+    write_lines(path, LARGE)
+    hints = len(calls) - 2
+    assert hints >= 2 and [event[0] for event in calls] == ["hint"] * hints + ["fsync", "replace"]
+    assert calls[-2] == ("fsync", len(expected_bytes(LARGE)))
+    assert calls[-1] == ("replace", path + TMP_SUFFIX, path)
+
+
+def test_a_checkpoint_sized_write_makes_no_hint(tmp_path, calls):
+    path = str(tmp_path / "ckpt.txt")
+    hits = tuple(IntegerHit(n=n, i=n, k=n - 1, value="1/1") for n in range(3, 3000))
+    save_checkpoint(path, CheckpointRecord(n_start=2, n=3000, hits=hits))
+    assert [event[0] for event in calls] == ["fsync", "replace"]
+    assert load_checkpoint(path).hits == hits
+
+
+def test_bytes_without_posix_fadvise(tmp_path, monkeypatch):
+    monkeypatch.delattr(checkpoint_module.os, "posix_fadvise", raising=False)
+    path = tmp_path / "out.txt"
+    write_lines(str(path), LARGE)
+    assert path.read_bytes() == expected_bytes(LARGE)
     assert os.listdir(tmp_path) == ["out.txt"]
